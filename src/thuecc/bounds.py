@@ -150,14 +150,6 @@ class BoundReport:
                 return e
         raise KeyError(name)
 
-    def csv_rows(self) -> list[str]:
-        hyp = self.hypothesis.describe() if self.hypothesis else "unset"
-        return [
-            f"{self.instance_id},{self.p},{self.case.case_tag},{e.name},"
-            f"{e.quantity},{e.exact},{e.floor},{hyp}"
-            for e in self.entries
-        ]
-
 
 # ---------------------------------------------------------------------------
 # Residue-class bounds (the four prime cases at a general prime p > n)
@@ -369,27 +361,6 @@ def refined_bounds_degree_pm1(
 # Jacobian decomposition arithmetic under the order-n automorphism
 
 
-def _exact_div(f: IntPoly, g: IntPoly) -> IntPoly:
-    """Exact division of integer polynomials by a monic divisor."""
-    assert g and g[-1] == 1
-    f = list(f)
-    dg = len(g) - 1
-    q = [0] * max(len(f) - dg, 0)
-    while len(f) - 1 >= dg:
-        if f[-1] == 0:
-            f.pop()
-            continue
-        k = len(f) - 1 - dg
-        c = f[-1]
-        q[k] = c
-        for i, gc in enumerate(g):
-            f[k + i] -= c * gc
-        f.pop()
-    if any(f):
-        raise BoundError("division leaves a remainder: input outside the hypotheses")
-    return polyutil.trim(tuple(q))
-
-
 def automorphism_char_poly(n: int, multiplicities) -> IntPoly:
     """Characteristic polynomial of the order-n automorphism on homology.
 
@@ -411,7 +382,9 @@ def automorphism_char_poly(n: int, multiplicities) -> IntPoly:
     for m in mults:
         d = gcd(n, m)
         if d > 1:
-            num = _exact_div(num, (1,) * d)
+            num, rem = polyutil.divmod_monic(num, (1,) * d)
+            if rem:
+                raise BoundError("division leaves a remainder: input outside the hypotheses")
     return num
 
 

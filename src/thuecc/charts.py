@@ -26,6 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
+from thuecc import polyutil
+from thuecc.enumerate import roots_mod_q
 from thuecc.padic import INF, SolutionValuationProfile, TrackedRoots, Val
 
 SELF = -1  # member reference for the chosen root's own factor (gamma = 0)
@@ -61,9 +63,6 @@ class ChartData:
     @property
     def depth(self) -> int:
         return len(self.s_seq) - 1
-
-    def level_weight(self, k: int) -> int:
-        return sum(m.multiplicity for m in self.levels[k])
 
     def to_dict(self) -> dict:
         return {
@@ -357,9 +356,7 @@ def special_fiber_shape(
                 g_red = (diff // p**chart.t) % p
             lin = (-g_red % p, 1)
             for _ in range(mb.multiplicity):
-                poly = tuple(
-                    c % p for c in _mul_ascending(poly, lin)
-                )
+                poly = polyutil.poly_mod(polyutil.mul(poly, lin), p)
         fiber_poly = poly
         unit = 1
         for k, lv in enumerate(chart.levels[:-1]):
@@ -379,28 +376,12 @@ def special_fiber_shape(
     )
 
 
-def _mul_ascending(f, g):
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] += a * b
-    return tuple(out)
-
-
 def fiber_affine_points(fiber: SpecialFiberShape, p: int) -> int:
     """Count (u, y) in F_p^2 with f(u,y) * unit * y^(n-D) = mu."""
     if fiber.fiber_poly is None or fiber.mu is None:
         raise ChartError("materialized fiber required")
-    f = fiber.fiber_poly
-    d = len(f) - 1
-    count = 0
-    for u in range(p):
-        for y in range(p):
-            # homogenize f to degree d: f(u, y) = y^d * f_aff(u/y) when y != 0
-            val = 0
-            for k, c in enumerate(f):
-                val += c * pow(u, k, p) * pow(y, d - k, p)
-            val = val * fiber.unit * pow(y, fiber.cofactor_exponent, p) % p
-            if val == fiber.mu % p:
-                count += 1
-    return count
+    # unit * y^c * f(u, y), f homogenized to its degree d, is the binary
+    # form of degree n = d + c whose u^k y^(n-k) coefficient is unit * f[k]
+    coeffs = [0] * fiber.cofactor_exponent
+    coeffs += [fiber.unit * c for c in reversed(fiber.fiber_poly)]
+    return sum(len(roots_mod_q(coeffs, fiber.mu, p, u)) for u in range(p))

@@ -63,12 +63,18 @@ def _load_instances(args) -> list[ThueInstance]:
     specs: list[tuple[list[int], int]] = []
     if args.corpus:
         with open(args.corpus) as fh:
-            for line in fh:
+            for lineno, line in enumerate(fh, 1):
                 line = line.strip()
                 if not line:
                     continue
-                row = json.loads(line)
-                specs.append(([int(c) for c in row["coeffs"]], int(row["h"])))
+                try:
+                    row = json.loads(line)
+                    specs.append(([int(c) for c in row["coeffs"]], int(row["h"])))
+                except (ValueError, KeyError, TypeError) as exc:
+                    raise InputError(
+                        f"{args.corpus}:{lineno}: expected a JSON object "
+                        f'{{"coeffs": [...], "h": ...}} ({type(exc).__name__}: {exc})'
+                    ) from exc
     if args.F is not None:
         if args.h is None:
             raise InputError("--F requires --h")
@@ -188,6 +194,8 @@ def _report_dict(report: bnd.BoundReport) -> dict:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
+    if args.precision is not None and args.precision < 1:
+        raise InputError("--precision must be at least 1")
     hyp = _parse_hypothesis(args.hypothesis)
     rows = []
     violated = False
@@ -243,7 +251,10 @@ def cmd_verify(args) -> tuple[dict, int]:
             if charts:
                 row["charts"] = {"p": ph, "ledgers": [c.to_dict() for c in charts]}
         rows.append(row | {"checks": checks})
-    code = EXIT_VIOLATION if violated else EXIT_OK
+    if violated:
+        code = EXIT_VIOLATION
+    else:
+        code = EXIT_INPUT if any("error" in r for r in rows) else EXIT_OK
     return {"command": "verify", "rows": rows}, code
 
 
@@ -305,10 +316,23 @@ def _verify_charts(inst: ThueInstance, sols, p: int, check, precision=None):
     return charts
 
 
+_FERMAT_REQUIRED = {"construct": ("t1", "t2"), "check": ("A", "B", "C", "p"), "orbit": ("t",)}
+
+
+def _parse_triple(text: str) -> fm.SolutionTriple:
+    values = _parse_ints(text)
+    if len(values) != 3:
+        raise InputError(f"expected a triple x,y,z, got {text!r}")
+    return fm.SolutionTriple(*values)
+
+
 def cmd_fermat(args) -> tuple[dict, int]:
+    missing = [f"--{k}" for k in _FERMAT_REQUIRED[args.verb] if getattr(args, k) is None]
+    if missing:
+        raise InputError(f"fermat {args.verb} requires {', '.join(missing)}")
     if args.verb == "construct":
-        t1 = fm.SolutionTriple(*_parse_ints(args.t1))
-        t2 = fm.SolutionTriple(*_parse_ints(args.t2))
+        t1 = _parse_triple(args.t1)
+        t2 = _parse_triple(args.t2)
         twist = fm.solve_coefficients(t1, t2, args.n)
         return {"command": "fermat construct", "twist": twist.to_dict()}, EXIT_OK
     if args.verb == "check":
@@ -324,7 +348,7 @@ def cmd_fermat(args) -> tuple[dict, int]:
         }
         return payload, EXIT_OK if rep.consistent else EXIT_VIOLATION
     if args.verb == "orbit":
-        t = fm.SolutionTriple(*_parse_ints(args.t))
+        t = _parse_triple(args.t)
         count = fm.orbit_count(t, args.symmetric, args.n)
         return {"command": "fermat orbit", "count": count}, EXIT_OK
     raise InputError(f"unknown fermat verb {args.verb!r}")
@@ -423,7 +447,14 @@ def main(argv=None) -> int:
     }
     try:
         payload, code = handlers[args.cmd](args)
-    except (InputError, FormError, bnd.BoundError, fm.FermatError, OSError) as exc:
+    except (
+        InputError,
+        FormError,
+        bnd.BoundError,
+        fm.FermatError,
+        padic.PrecisionError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     _emit(payload, args)

@@ -8,8 +8,9 @@ discards no solution: a true solution satisfies the congruence at every
 modulus, and every surviving candidate is verified with exact integer
 arithmetic.  Both strategies are exposed so they can be cross-checked.
 
-The scan is organized in disjoint x-stripes with a deterministic merge,
-so callers may fan stripes out to workers without changing the result.
+Every evaluation of a binary form over F_q^2 (the sieve tables, the
+affine and projective point counts, the chart fibers) goes through one
+kernel, roots_mod_q.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ from math import gcd, isqrt
 import sympy
 
 from thuecc import polyutil
-from thuecc.forms import BinaryForm, FormShape, ThueInstance
-from thuecc.padic import INF, TrackedRoots, solution_valuations
+from thuecc.forms import BinaryForm, ThueInstance
+from thuecc.padic import TrackedRoots, solution_valuations
 from thuecc.polyutil import vp
 
 _PLAIN_SCAN_LIMIT = 256
@@ -51,12 +52,6 @@ class SolutionSet:
     def __len__(self) -> int:
         return len(self.solutions)
 
-    def csv_rows(self) -> list[str]:
-        return [
-            f"{self.instance_id},{self.box},{len(self.solutions)},{x},{y}"
-            for x, y in self.solutions
-        ]
-
 
 def scan_stripe(
     instance: ThueInstance, box: int, x_lo: int, x_hi: int, strategy: str = "auto"
@@ -77,7 +72,8 @@ def scan_stripe(
     if strategy != "filtered":
         raise ValueError(f"unknown strategy {strategy!r}")
     q1, q2 = _filter_primes(h, box)
-    t1, t2 = _root_table(form, h, q1), _root_table(form, h, q2)
+    t1 = [roots_mod_q(form.coeffs, h, q1, x) for x in range(q1)]
+    t2 = [roots_mod_q(form.coeffs, h, q2, x) for x in range(q2)]
     m = q1 * q2
     c1 = q2 * pow(q2, -1, q1)  # CRT basis: 1 mod q1, 0 mod q2
     c2 = q1 * pow(q1, -1, q2)
@@ -110,43 +106,35 @@ def _filter_primes(h: int, box: int) -> tuple[int, int]:
     return q1, q2
 
 
-def _root_table(form: BinaryForm, h: int, q: int) -> list[tuple[int, ...]]:
-    n = form.degree
-    table = []
-    for x in range(q):
-        xs = [pow(x, n - i, q) for i in range(n + 1)]
-        roots = []
-        for y in range(q):
-            acc = 0
-            yp = 1
-            for i, c in enumerate(form.coeffs):
-                acc = (acc + c * xs[i] * yp) % q
-                yp = yp * y % q
-            if acc == h % q:
-                roots.append(y)
-        table.append(tuple(roots))
-    return table
+def roots_mod_q(coeffs, h: int, q: int, x: int) -> list[int]:
+    """The y in F_q, ascending, with sum_i coeffs[i] x^(n-i) y^i = h mod q.
+
+    coeffs is in BinaryForm order.  Each coefficient is premultiplied by
+    x^(n-i) once, then the polynomial in y is evaluated by Horner's rule.
+    """
+    n = len(coeffs) - 1
+    cs = [c * pow(x, n - i, q) % q for i, c in enumerate(coeffs)]
+    cs.reverse()
+    target = h % q
+    roots = []
+    for y in range(q):
+        acc = 0
+        for c in cs:
+            acc = (acc * y + c) % q
+        if acc == target:
+            roots.append(y)
+    return roots
 
 
 def primitive_solutions(
     instance: ThueInstance,
     box: SearchBox | int,
     strategy: str = "auto",
-    stripe_width: int = 512,
 ) -> SolutionSet:
-    """Exhaustive primitive-solution scan over max(|x|,|y|) <= B.
-
-    Deterministic lexicographic ordering; stripes are scanned left to
-    right and concatenated, so a parallel driver mapping scan_stripe
-    over the same stripes reproduces this output exactly.
-    """
+    """Exhaustive primitive-solution scan over max(|x|,|y|) <= B, in
+    lexicographic order."""
     b = box.bound if isinstance(box, SearchBox) else int(box)
-    sols: list[tuple[int, int]] = []
-    lo = -b
-    while lo <= b:
-        hi = min(lo + stripe_width - 1, b)
-        sols.extend(scan_stripe(instance, b, lo, hi, strategy))
-        lo = hi + 1
+    sols = scan_stripe(instance, b, -b, b, strategy)
     return SolutionSet(instance.instance_id(), tuple(sols), b)
 
 
@@ -156,19 +144,8 @@ def primitive_solutions(
 
 def count_affine_points_mod_p(instance: ThueInstance, p: int) -> int:
     """Number of (x, y) in F_p^2 with F(x,y) = h mod p."""
-    form, h = instance.form, instance.h
-    n = form.degree
-    count = 0
-    for x in range(p):
-        xs = [pow(x, n - i, p) for i in range(n + 1)]
-        coeffs = [c * xs[i] % p for i, c in enumerate(form.coeffs)]
-        for y in range(p):
-            acc = 0
-            for c in reversed(coeffs):
-                acc = (acc * y + c) % p
-            if acc == h % p:
-                count += 1
-    return count
+    coeffs, h = instance.form.coeffs, instance.h
+    return sum(len(roots_mod_q(coeffs, h, p, x)) for x in range(p))
 
 
 def count_projective_smooth(instance: ThueInstance, p: int) -> int:
@@ -187,12 +164,11 @@ def count_projective_smooth(instance: ThueInstance, p: int) -> int:
             "use projection_point_bound instead"
         )
     count = count_affine_points_mod_p(instance, p)
-    # points at infinity: z = 0, F(x,y) = 0 on the projective line
-    f = instance.form.dehomogenized()
-    for x in range(p):
-        if polyutil.evaluate(f, x) % p == 0:
-            count += 1
-    if instance.form.coeffs[0] % p == 0:
+    # points at infinity: z = 0, F(x,y) = 0 on the projective line, as
+    # (1:y) for y in F_p plus (0:1) when F(0,1) = 0
+    coeffs = instance.form.coeffs
+    count += len(roots_mod_q(coeffs, 0, p, 1))
+    if coeffs[-1] % p == 0:
         count += 1
     g = instance.genus
     if count > 0 and count > (n - 1) * (p + 1):

@@ -70,12 +70,6 @@ class BinaryForm:
         """F(y,x)."""
         return BinaryForm(self.degree, tuple(reversed(self.coeffs)))
 
-    def negated_y(self) -> "BinaryForm":
-        """F(x,-y)."""
-        return BinaryForm(
-            self.degree, tuple(c if i % 2 == 0 else -c for i, c in enumerate(self.coeffs))
-        )
-
     def to_json(self) -> str:
         return json.dumps([str(c) for c in self.coeffs])
 

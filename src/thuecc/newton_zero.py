@@ -24,11 +24,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
+from thuecc.bounds import chabauty_residue_bound
+from thuecc.padic import INF
 from thuecc.polyutil import vp
-
-INF = float("inf")
 
 
 class TruncationError(ValueError):
@@ -62,11 +61,6 @@ class CoeffValuationSeq:
 
     def to_json_list(self) -> list:
         return ["inf" if v == INF else int(v) for v in self.vals]
-
-
-def rho_float(x: int, p: int) -> float:
-    """Display-only value of x - log_p(x); comparisons use compare_rho_gt."""
-    return x - math.log(x, p)
 
 
 def compare_rho_gt(x: int, c: int, p: int) -> bool:
@@ -161,12 +155,9 @@ def zero_bound(seq: CoeffValuationSeq) -> ZeroBoundReport:
 
 def chabauty_aggregate_bound(u_size: int, g: int, p: int) -> int:
     """floor(|U| + (p-1)(2g-2)/(p-2)); point counts are whole numbers."""
-    if p <= 2:
-        raise ValueError("requires p > 2")
     if p * p <= 2 * g + 1:
         raise ValueError(f"requires p^2 > 2g+1 (p={p}, g={g})")
-    exact = u_size + Fraction((p - 1) * (2 * g - 2), p - 2)
-    return math.floor(exact)
+    return math.floor(chabauty_residue_bound(g, p, u_size))
 
 
 def coleman_bound(q: int, g: int) -> int:
@@ -183,7 +174,3 @@ def rank_zero_bound(ns_points: int) -> int:
     special-fiber points; identity passthrough."""
     return ns_points
 
-
-def default_truncation(p: int, g: int | None = None) -> int:
-    """Sequence length making first_unit_index < p^2 - 2 detectable."""
-    return max(p * p, 2 * g + 4) if g is not None else p * p

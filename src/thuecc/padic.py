@@ -31,7 +31,7 @@ from sympy import Poly, Symbol
 
 from thuecc import polyutil
 from thuecc.forms import FormShape, ThueInstance
-from thuecc.polyutil import IntPoly, vp
+from thuecc.polyutil import IntPoly, divmod_monic, poly_mod, vp
 
 INF = float("inf")
 
@@ -138,54 +138,23 @@ def difference_valuations(shape: FormShape, p: int) -> list[tuple[Fraction, int]
 # Hensel-lifted root tracking
 
 
-def _pmod(f, m: int) -> IntPoly:
-    return polyutil.trim(tuple(c % m for c in f))
-
-
-def _pmul(f, g, m: int) -> IntPoly:
-    return _pmod(polyutil.mul(f, g), m)
-
-
-def _padd(f, g, m: int) -> IntPoly:
-    return _pmod(polyutil.add(f, g), m)
-
-
-def _pdivmod(f, g, m: int) -> tuple[IntPoly, IntPoly]:
-    """Division with remainder mod m; g must be monic."""
-    assert g and g[-1] == 1
-    f = list(_pmod(f, m))
-    dg = len(g) - 1
-    q = [0] * max(len(f) - dg, 0)
-    while len(f) - 1 >= dg and any(f):
-        if f[-1] == 0:
-            f.pop()
-            continue
-        k = len(f) - 1 - dg
-        c = f[-1] % m
-        q[k] = c
-        for i, gc in enumerate(g):
-            f[k + i] = (f[k + i] - c * gc) % m
-        f.pop()
-    return polyutil.trim(tuple(q)), polyutil.trim(tuple(f))
-
-
 def _poly_ext_gcd_mod_p(f, g, p: int) -> tuple[IntPoly, IntPoly]:
     """(s, t) with s*f + t*g = 1 mod p, for f, g coprime mod p."""
-    r0, r1 = _pmod(f, p), _pmod(g, p)
+    r0, r1 = poly_mod(f, p), poly_mod(g, p)
     s0, s1 = (1,), ()
     t0, t1 = (), (1,)
     while r1:
         lead_inv = pow(r1[-1], -1, p)
-        r1m = _pmod(polyutil.scale(r1, lead_inv), p)
-        q, r = _pdivmod(r0, r1m, p)
-        q = _pmod(polyutil.scale(q, lead_inv), p)
+        r1m = poly_mod(polyutil.scale(r1, lead_inv), p)
+        q, r = divmod_monic(r0, r1m)
+        q, r = poly_mod(polyutil.scale(q, lead_inv), p), poly_mod(r, p)
         r0, r1 = r1, r
-        s0, s1 = s1, _pmod(polyutil.add(s0, polyutil.scale(polyutil.mul(q, s1), -1)), p)
-        t0, t1 = t1, _pmod(polyutil.add(t0, polyutil.scale(polyutil.mul(q, t1), -1)), p)
+        s0, s1 = s1, poly_mod(polyutil.add(s0, polyutil.scale(polyutil.mul(q, s1), -1)), p)
+        t0, t1 = t1, poly_mod(polyutil.add(t0, polyutil.scale(polyutil.mul(q, t1), -1)), p)
     if len(r0) != 1:
         raise ValueError("polynomials not coprime mod p")
     inv = pow(r0[0], -1, p)
-    return _pmod(polyutil.scale(s0, inv), p), _pmod(polyutil.scale(t0, inv), p)
+    return poly_mod(polyutil.scale(s0, inv), p), poly_mod(polyutil.scale(t0, inv), p)
 
 
 def _hensel_lift_pair(f, g, h, p: int, N: int) -> tuple[IntPoly, IntPoly]:
@@ -195,22 +164,24 @@ def _hensel_lift_pair(f, g, h, p: int, N: int) -> tuple[IntPoly, IntPoly]:
     G = g mod p, H = h mod p.
     """
     s, t = _poly_ext_gcd_mod_p(g, h, p)
-    G, H = _pmod(g, p), _pmod(h, p)
+    G, H = poly_mod(g, p), poly_mod(h, p)
     pk = p
     for _ in range(N - 1):
         m = pk * p
-        diff = polyutil.add(_pmod(f, m), polyutil.scale(_pmul(G, H, m), -1))
-        e = _pmod(tuple(c // pk for c in polyutil.trim(diff)), p)
+        GH = poly_mod(polyutil.mul(G, H), m)
+        diff = polyutil.add(poly_mod(f, m), polyutil.scale(GH, -1))
+        e = poly_mod(tuple(c // pk for c in polyutil.trim(diff)), p)
         if e:
-            te = _pmul(t, e, p)
-            _, u = _pdivmod(te, G, p)
+            Gp = poly_mod(G, p)
+            te = poly_mod(polyutil.mul(t, e), p)
+            u = poly_mod(divmod_monic(te, Gp)[1], p)
             num = polyutil.add(e, polyutil.scale(polyutil.mul(u, H), -1))
-            w, rem = _pdivmod(_pmod(num, p), G, p)
-            assert not rem, "hensel correction must divide exactly"
-            G = _padd(G, polyutil.scale(u, pk), m)
-            H = _padd(H, polyutil.scale(w, pk), m)
+            w, rem = divmod_monic(poly_mod(num, p), Gp)
+            assert not poly_mod(rem, p), "hensel correction must divide exactly"
+            G = poly_mod(polyutil.add(G, polyutil.scale(u, pk)), m)
+            H = poly_mod(polyutil.add(H, polyutil.scale(poly_mod(w, p), pk)), m)
         else:
-            G, H = _pmod(G, m), _pmod(H, m)
+            G, H = poly_mod(G, m), poly_mod(H, m)
         pk = m
     return G, H
 
@@ -218,11 +189,11 @@ def _hensel_lift_pair(f, g, h, p: int, N: int) -> tuple[IntPoly, IntPoly]:
 def _hensel_lift_factors(f, factors: list[IntPoly], p: int, N: int) -> list[IntPoly]:
     """Lift the pairwise-coprime monic factorization of monic f mod p."""
     if len(factors) == 1:
-        return [_pmod(f, p**N)]
+        return [poly_mod(f, p**N)]
     g = factors[0]
     h = (1,)
     for fac in factors[1:]:
-        h = _pmul(h, fac, p)
+        h = poly_mod(polyutil.mul(h, fac), p)
     G, H = _hensel_lift_pair(f, g, h, p, N)
     return [G] + _hensel_lift_factors(H, factors[1:], p, N)
 
@@ -365,7 +336,7 @@ def hensel_track_roots(
                     "separated in unramified towers (profile mode still applies)"
                 )
             lc_inv = pow(qc[-1], -1, p**precision)
-            monic = _pmod(polyutil.scale(qc, lc_inv), p**precision)
+            monic = poly_mod(polyutil.scale(qc, lc_inv), p**precision)
             lifted = _hensel_lift_factors(monic, [f for f, _ in modular], p, precision)
             for fac in lifted:
                 d = polyutil.degree(fac)

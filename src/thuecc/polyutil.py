@@ -40,13 +40,6 @@ def evaluate(f, x: int) -> int:
     return acc
 
 
-def evaluate_frac(f, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
 def derivative(f) -> IntPoly:
     return trim(tuple(k * c for k, c in enumerate(f) if k >= 1))
 
@@ -71,6 +64,25 @@ def mul(f, g) -> IntPoly:
 
 def scale(f, c: int) -> IntPoly:
     return trim(tuple(c * a for a in f))
+
+
+def divmod_monic(f, g) -> tuple[IntPoly, IntPoly]:
+    """Quotient and remainder of f by a monic g over the integers.
+
+    Division by a monic polynomial commutes with reduction mod any m, so
+    callers working mod m reduce both results with poly_mod.
+    """
+    assert g and g[-1] == 1
+    r = list(trim(f))
+    dg = len(g) - 1
+    q = [0] * max(len(r) - dg, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = r[k + dg]
+        if c:
+            q[k] = c
+            for i, gc in enumerate(g):
+                r[k + i] -= c * gc
+    return trim(q), trim(r[:dg])
 
 
 def content(f) -> int:
@@ -159,14 +171,6 @@ def radical(f) -> IntPoly:
 def discriminant(f) -> int:
     d = sympy.discriminant(to_sympy(f).as_expr(), _X)
     return int(d)
-
-
-def is_probable_prime(n: int) -> bool:
-    return bool(sympy.isprime(n))
-
-
-def next_prime(n: int) -> int:
-    return int(sympy.nextprime(n))
 
 
 def factor_mod_p(f, p: int) -> list[tuple[IntPoly, int]]:

@@ -8,7 +8,8 @@ from math import gcd, lcm
 from thuecc import polyutil
 from thuecc.enumerate import _product_form_coeffs
 from thuecc.forms import BinaryForm, ThueInstance
-from thuecc.newton_zero import INF, CoeffValuationSeq
+from thuecc.newton_zero import CoeffValuationSeq
+from thuecc.padic import INF
 
 
 def random_form(rng, n: int, lo=-9, hi=9) -> BinaryForm:

@@ -6,7 +6,7 @@ import pytest
 import sympy
 
 from helpers import partitions, product_form
-from thuecc import polyutil
+from thuecc import cli, polyutil
 from thuecc.bounds import (
     BoundError,
     PrimeCase,
@@ -280,9 +280,18 @@ def test_hypothesis_validation():
     assert "assumed" in h.describe()
 
 
-def test_csv_rows():
-    inst = ThueInstance.build(BinaryForm.from_coeffs([1, 0, 0, 0, 1]), 17)
-    rep = main_bounds(inst, 5, RankHypothesis("chabauty_lt_g"))
-    rows = rep.csv_rows()
-    assert len(rows) == 2
+def test_csv_rows(capsys):
+    code = cli.main(
+        ["bound", "--F", "1,0,0,0,1", "--h", "17", "--p", "5",
+         "--hypothesis", "chabauty_lt_g", "--format", "csv"]
+    )
+    assert code == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    # main_bounds gives case_a and global_cubic; the n = p - 1 block adds
+    # pm1_local and pm1_rational
+    assert len(rows) == 4
+    # instance, p, case, name, quantity, exact, floor, hypothesis
     assert rows[0].count(",") == 7
+    assert rows[0] == (
+        "F=[1 0 0 0 1];h=17,5,a,case_a,|X(Q)|,29,29,Chabauty rank < g [cli flag]"
+    )

@@ -8,6 +8,7 @@ from thuecc.charts import (
     SELF,
     AmbiguousArgmax,
     ChartError,
+    SpecialFiberShape,
     build_chart,
     chart_from_profile,
     chart_from_tracked,
@@ -248,6 +249,24 @@ def test_special_fiber_shapes():
     fiber2 = special_fiber_shape(chart2, 2, tr2, h)
     assert fiber2.weighted_degree == 2
     assert fiber2.cofactor_exponent == 0
+
+
+def test_fiber_affine_points_brute_oracle():
+    rng = random.Random(113)
+    for _ in range(60):
+        p = rng.choice([3, 5, 7, 11])
+        d, c = rng.randint(1, 4), rng.randint(0, 3)
+        f = tuple(rng.randrange(p) for _ in range(d)) + (1,)
+        unit, mu = rng.randrange(1, p), rng.randrange(p)
+        fiber = SpecialFiberShape(1, d, c, fiber_poly=f, unit=unit, mu=mu)
+        expect = sum(
+            1
+            for u in range(p)
+            for y in range(p)
+            if (unit * y**c * sum(a * u**k * y ** (d - k) for k, a in enumerate(f)) - mu) % p
+            == 0
+        )
+        assert fiber_affine_points(fiber, p) == expect
 
 
 def test_chart_t_infinite_rejected():

@@ -129,11 +129,26 @@ def test_verify_deterministic(capsys):
     assert (code1, out1) == (code2, out2)
 
 
-def test_input_errors(capsys):
+def test_input_errors(tmp_path, capsys):
     assert main(["analyze", "--F", "1,0,1"]) == 3  # missing --h
     assert main(["analyze", "--F", "abc", "--h", "3"]) == 3
     assert main(["bound", "--F", "1,0,0,0,1", "--h", "17", "--p", "11"]) == 3
     assert main(["analyze", "--F", "1,0,1", "--h", "0"]) == 3
+    bad_json = tmp_path / "bad_json.jsonl"
+    bad_json.write_text('{"coeffs": [1, 0, 0, 0, 1], "h": 17}\n{"coeffs": [1, 0\n')
+    assert main(["analyze", "--corpus", str(bad_json)]) == 3
+    assert f"{bad_json}:2:" in capsys.readouterr().err
+    no_h = tmp_path / "no_h.jsonl"
+    no_h.write_text('{"coeffs": [1, 0, 0, 0, 1]}\n')
+    assert main(["bound", "--corpus", str(no_h)]) == 3
+    assert main(["fermat", "check", "--n", "4", "--p", "5"]) == 3  # no --A/--B/--C
+    assert main(["fermat", "construct", "--t1", "1,2", "--t2", "2,1,1", "--n", "3"]) == 3
+    assert main(["fermat", "orbit", "--n", "4"]) == 3  # no --t
+    assert main(["verify", "--F", "1,0,0,0,1", "--h", "17", "--precision", "1"]) == 3
+    assert main(["verify", "--F", "1,0,0,0,1", "--h", "17", "--precision", "-3"]) == 3
+    capsys.readouterr()
+    assert main(["verify", "--F", "0,0,0,1", "--h", "5"]) == 3  # reducible model
+    assert "reducible" in json.loads(capsys.readouterr().out)["rows"][0]["error"]
 
 
 def test_fermat_construct(capsys):

@@ -169,6 +169,33 @@ def test_projective_smooth_weil_randomized():
             done += 1
 
 
+def test_projective_points_at_infinity_brute_oracle():
+    # the smooth count minus the affine count is the number of points of
+    # F(x, y) = 0 on the projective line: nonzero zeros in F_p^2 / (p - 1)
+    rng = random.Random(71)
+    done = 0
+    zero_root_seen = False
+    while done < 12:
+        n = rng.randint(3, 5)
+        roots = rng.sample(range(-6, 7), n)
+        if done % 2 == 0 and 0 not in roots:
+            roots[0] = 0  # F(0, 1) = 0 puts (0:1) at infinity
+        form = product_form(roots, [1] * n)
+        inst = ThueInstance.build(form, rng.randint(2, 40))
+        for p in (7, 11, 13):
+            if inst.h % p == 0 or polyutil.vp_frac(inst.dstar, p) != 0:
+                continue
+            F, h = inst.form, inst.h
+            affine = sum(1 for x in range(p) for y in range(p) if (F(x, y) - h) % p == 0)
+            nonzero = sum(
+                1 for x in range(p) for y in range(p) if (x or y) and F(x, y) % p == 0
+            )
+            assert count_projective_smooth(inst, p) == affine + nonzero // (p - 1)
+            zero_root_seen |= F.coeffs[-1] % p == 0
+            done += 1
+    assert zero_root_seen
+
+
 def test_projective_smooth_pre_enforced():
     inst = ThueInstance.build(BinaryForm.from_coeffs([1, 0, 0, 0, 1]), 17)
     with pytest.raises(ValueError):

@@ -138,12 +138,10 @@ def test_hensel_lifted_roots_satisfy_minpoly():
                 assert val % p**prec == 0
             elif r.kind == "inert":
                 # the lifted factor divides its minimal polynomial mod p^prec
-                from thuecc.padic import _pdivmod
-
                 lc_inv = pow(r.minpoly[-1], -1, p**prec)
                 monic = tuple(c * lc_inv % p**prec for c in r.minpoly)
-                _, rem = _pdivmod(monic, r.factor, p**prec)
-                assert not rem
+                _, rem = polyutil.divmod_monic(monic, r.factor)
+                assert not polyutil.poly_mod(rem, p**prec)
         done += 1
 
 
