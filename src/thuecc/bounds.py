@@ -357,6 +357,27 @@ def refined_bounds_degree_pm1(
     )
 
 
+def refined_bounds(
+    instance: ThueInstance, hypothesis: RankHypothesis | None
+) -> list[BoundReport]:
+    """The refinements that apply to the instance's degree n: prime
+    n >= 5 at p = a*n + 1 for the smallest a >= 2 making p prime, and
+    n + 1 prime and at least 5."""
+    n = instance.n
+    reports = []
+    if sympy.isprime(n) and n >= 5:
+        a = 2
+        while not sympy.isprime(a * n + 1):
+            a += 1
+        case = classify_prime(instance, a * n + 1)
+        reports.append(refined_bounds_prime_degree(n, a, case, hypothesis))
+    if sympy.isprime(n + 1) and n + 1 >= 5:
+        s_eff = len(instance.shape.all_multiplicities())
+        case = classify_prime(instance, n + 1)
+        reports.append(refined_bounds_degree_pm1(n + 1, case, hypothesis, s=s_eff))
+    return reports
+
+
 # ---------------------------------------------------------------------------
 # Jacobian decomposition arithmetic under the order-n automorphism
 

@@ -334,16 +334,10 @@ def special_fiber_shape(
         chosen = by_index[chart.root_index]
 
         def approx(root):
-            if root.kind == "rational":
-                if root.rational.denominator % p == 0:
-                    raise ChartError("root not integral at p")
-                return (
-                    root.rational.numerator
-                    * pow(root.rational.denominator, -1, p ** tracked.precision)
-                ) % p ** tracked.precision
-            if root.kind == "lifted":
-                return root.approx
-            raise ChartError("inert root inside a positive-depth disk")
+            try:
+                return tracked.residue(root)
+            except ValueError as exc:
+                raise ChartError(str(exc)) from exc
 
         a_i = approx(chosen)
         # f(u) = prod over deepest members (u - gamma/p^t), gamma = alpha_j - alpha_i

@@ -17,6 +17,8 @@ a fixed configuration: no timestamps, stable ordering.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -27,7 +29,7 @@ from thuecc import enumerate as en
 from thuecc import fermat as fm
 from thuecc import padic
 from thuecc import polyutil
-from thuecc.forms import BinaryForm, FormError, ThueInstance
+from thuecc.forms import BinaryForm, FormError, ThueInstance, monicize, power_gcd
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -107,14 +109,10 @@ def _analyze_row(instance: ThueInstance, p_override: int | None) -> dict:
             f"divided accordingly"
         )
     if not instance.irreducible:
-        g = 0
-        for m in shape.all_multiplicities():
-            from math import gcd as _g
-
-            g = _g(g, m)
         row["error"] = (
             f"model is reducible: h z^n - F factors because F is a perfect "
-            f"power pattern (gcd of n and all multiplicities is {g} > 1)"
+            f"power pattern (gcd of n and all multiplicities is "
+            f"{power_gcd(shape, n)} > 1)"
         )
         return row
     p0 = bnd.bertrand_prime(n)
@@ -140,28 +138,8 @@ def cmd_bound(args) -> tuple[dict, int]:
                 {"instance": inst.instance_id(), "error": "reducible model"}
             )
             continue
-        n = inst.n
-        p = args.p or bnd.bertrand_prime(n)
-        reports = [bnd.main_bounds(inst, p, hyp)]
-        import sympy
-
-        if sympy.isprime(n) and n >= 5:
-            a = 2
-            while not sympy.isprime(a * n + 1):
-                a += 1
-            pa = a * n + 1
-            reports.append(
-                bnd.refined_bounds_prime_degree(
-                    n, a, bnd.classify_prime(inst, pa), hyp
-                )
-            )
-        if sympy.isprime(n + 1) and n + 1 >= 5:
-            s_eff = len(inst.shape.all_multiplicities())
-            reports.append(
-                bnd.refined_bounds_degree_pm1(
-                    n + 1, bnd.classify_prime(inst, n + 1), hyp, s=s_eff
-                )
-            )
+        p = args.p or bnd.bertrand_prime(inst.n)
+        reports = [bnd.main_bounds(inst, p, hyp)] + bnd.refined_bounds(inst, hyp)
         rows.append(
             {
                 "instance": inst.instance_id(),
@@ -194,8 +172,6 @@ def _report_dict(report: bnd.BoundReport) -> dict:
 
 
 def cmd_verify(args) -> tuple[dict, int]:
-    if args.precision is not None and args.precision < 1:
-        raise InputError("--precision must be at least 1")
     hyp = _parse_hypothesis(args.hypothesis)
     rows = []
     violated = False
@@ -212,7 +188,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             rows.append({"instance": inst.instance_id(), "error": "reducible model"})
             continue
         n = inst.n
-        box = args.box or en.default_box(n).bound
+        box = args.box if args.box is not None else en.default_box(n).bound
         sols = en.primitive_solutions(inst, box)
         row: dict = {
             "instance": inst.instance_id(),
@@ -226,10 +202,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         if shape.s >= 2:
             diffs = padic.difference_valuations(shape, p)
             total = sum(Fraction(v) * m for v, m in diffs)
-            disc = polyutil.discriminant(shape.radical)
-            expected = polyutil.vp(disc, p) - (2 * shape.s - 2) * polyutil.vp(
-                shape.radical[-1], p
-            )
+            expected = polyutil.vp_frac(inst.dstar / shape.lead, p)
             check(
                 "difference_valuations_sum",
                 total == expected,
@@ -265,13 +238,11 @@ def _divisor_primes(h: int):
 
 
 def _verify_charts(inst: ThueInstance, sols, p: int, check, precision=None):
-    u, monic = (0, inst.form)
+    u, minst = 0, inst
     if inst.form.coeffs[0] % p == 0:
-        from thuecc.forms import monicize
-
         u, monic = monicize(inst.form, p)
+        minst = ThueInstance.build(monic, inst.h)
     # F'(x,y) = F(x, y+ux), so (x, y) solving F = h maps to (x, y - ux)
-    minst = ThueInstance.build(monic, inst.h)
     msols = [(x, y - u * x) for x, y in sols.solutions]
     ok_vb = all(padic.check_vb_zero(a, b, minst, p) for a, b in msols)
     check("v_p(b)_zero", ok_vb, f"all {len(msols)} solutions at p={p}")
@@ -338,7 +309,7 @@ def cmd_fermat(args) -> tuple[dict, int]:
     if args.verb == "check":
         twist = fm.FermatTwist(args.A, args.B, args.C, args.n)
         hyp = _parse_hypothesis(args.hypothesis)
-        rep = fm.unique_triple_check(twist, args.p, hyp, box=args.box or 20)
+        rep = fm.unique_triple_check(twist, args.p, hyp, box=args.box)
         payload = {
             "command": "fermat check",
             "twist": twist.to_dict(),
@@ -359,22 +330,22 @@ def _emit(payload: dict, args) -> None:
     if fmt == "json":
         text = json.dumps(payload, indent=2, sort_keys=True)
     elif fmt == "csv":
-        lines = []
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
         for row in payload.get("rows", []):
             if "reports" in row:
                 for rep in row["reports"]:
                     for e in rep["entries"]:
-                        lines.append(
-                            f"{row['instance']},{rep['p']},{rep['case']},"
-                            f"{e['name']},{e['quantity']},{e['exact']},"
-                            f"{e['floor']},{row['hypothesis']}"
+                        writer.writerow(
+                            [row["instance"], rep["p"], rep["case"], e["name"],
+                             e["quantity"], e["exact"], e["floor"], row["hypothesis"]]
                         )
             elif "solutions" in row:
                 for x, y in row["solutions"]:
-                    lines.append(f"{row['instance']},{row['box']},{row['count']},{x},{y}")
+                    writer.writerow([row["instance"], row["box"], row["count"], x, y])
             else:
-                lines.append(",".join(str(v) for v in row.values()))
-        text = "\n".join(lines)
+                writer.writerow([str(v) for v in row.values()])
+        text = buf.getvalue().removesuffix("\n")
     elif fmt == "text":
         text = _render_text(payload)
     else:
@@ -399,10 +370,27 @@ def _render_text(payload: dict) -> str:
     return "\n".join(lines)
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors are input errors (exit 3), not argparse's exit 2,
+    which here means a checked property failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="thuecc", description="Thue equation bound toolkit"
-    )
+    parser = _ArgumentParser(prog="thuecc", description="Thue equation bound toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     def add_common(sp):
@@ -410,8 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--h", type=int)
         sp.add_argument("--corpus", help="JSON-lines file of {coeffs, h}")
         sp.add_argument("--p", type=int, help="prime override (must exceed n)")
-        sp.add_argument("--box", type=int)
-        sp.add_argument("--precision", type=int)
+        sp.add_argument("--box", type=_positive_int)
+        sp.add_argument("--precision", type=_positive_int)
         sp.add_argument("--hypothesis", help="kind[:value], e.g. mw_rank_value:1")
         sp.add_argument("--format", choices=["json", "csv", "text"], default="json")
         sp.add_argument("--out")
@@ -429,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--B", type=int)
     fp.add_argument("--C", type=int)
     fp.add_argument("--p", type=int)
-    fp.add_argument("--box", type=int)
+    fp.add_argument("--box", type=_positive_int, default=20)
     fp.add_argument("--symmetric", action="store_true")
     fp.add_argument("--hypothesis")
     fp.add_argument("--format", choices=["json", "csv", "text"], default="json")
@@ -438,7 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     handlers = {
         "analyze": cmd_analyze,
         "bound": cmd_bound,
@@ -446,6 +433,7 @@ def main(argv=None) -> int:
         "fermat": cmd_fermat,
     }
     try:
+        args = build_parser().parse_args(argv)
         payload, code = handlers[args.cmd](args)
     except (
         InputError,

@@ -47,7 +47,6 @@ class SolutionSet:
     instance_id: str
     solutions: tuple[tuple[int, int], ...]
     box: int
-    exhaustive: bool = True
 
     def __len__(self) -> int:
         return len(self.solutions)
@@ -133,7 +132,7 @@ def primitive_solutions(
 ) -> SolutionSet:
     """Exhaustive primitive-solution scan over max(|x|,|y|) <= B, in
     lexicographic order."""
-    b = box.bound if isinstance(box, SearchBox) else int(box)
+    b = (box if isinstance(box, SearchBox) else SearchBox(int(box))).bound
     sols = scan_stripe(instance, b, -b, b, strategy)
     return SolutionSet(instance.instance_id(), tuple(sols), b)
 
@@ -221,14 +220,7 @@ def residue_class_census(
     for a, b in solutions.solutions:
         prof = solution_valuations(a, b, instance, p, tracked)
         root = by_index[prof.argmax_index]
-        if root.kind == "rational":
-            if root.rational.denominator % p == 0:
-                raise ValueError("deepest root not integral at p")
-            r = root.rational.numerator * pow(root.rational.denominator, -1, pn) % pn
-        elif root.kind == "lifted":
-            r = root.approx
-        else:
-            raise ValueError("deepest root is inert; census unavailable")
+        r = tracked.residue(root)
         t = int(prof.t)
         mres = (a - r * b) % pn
         unit = (mres // p**t) % p

@@ -151,6 +151,8 @@ def orbit_count(t: SolutionTriple, symmetric: bool, n: int) -> int:
     finite field; distinctness mod q implies distinctness in
     characteristic zero.
     """
+    if n < 2:
+        raise FermatError("need n >= 2")
     if not t.nontrivial:
         raise FermatError("orbit needs a nontrivial triple")
     double = symmetric and t.x**n != t.y**n

@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from thuecc import polyutil
 from thuecc.polyutil import IntPoly
@@ -55,12 +55,6 @@ class BinaryForm:
     def __call__(self, x: int, y: int) -> int:
         n = self.degree
         return sum(c * x ** (n - i) * y**i for i, c in enumerate(self.coeffs))
-
-    def content(self) -> int:
-        g = 0
-        for c in self.coeffs:
-            g = gcd(g, c)
-        return g
 
     def dehomogenized(self) -> IntPoly:
         """F(x,1) as an ascending-coefficient integer polynomial."""
@@ -180,19 +174,21 @@ def dstar(shape: FormShape) -> Fraction:
     return Fraction(shape.lead) * sign * Fraction(disc, lc ** (2 * s - 2))
 
 
+def power_gcd(shape: FormShape, n: int) -> int:
+    """gcd(n, n_1, ..., n_s, degree_deficit): F is a constant times a
+    perfect power of this exponent."""
+    return gcd(n, shape.degree_deficit, *shape.multiplicities)
+
+
 def is_irreducible_model(shape: FormShape, n: int, h: int) -> bool:
     """Whether h z^n - F(x,y) is irreducible over the algebraic closure.
 
     The model factors exactly when F is a proper perfect power up to a
-    constant, i.e. when gcd(n, n_1, ..., n_s, degree_deficit) > 1.
+    constant, i.e. when power_gcd(shape, n) > 1.
     """
     if h == 0:
         raise FormError("h must be nonzero")
-    g = n
-    for m in shape.multiplicities:
-        g = gcd(g, m)
-    g = gcd(g, shape.degree_deficit)
-    return g == 1
+    return power_gcd(shape, n) == 1
 
 
 def monicize(form: BinaryForm, p: int) -> tuple[int, BinaryForm]:
@@ -213,15 +209,10 @@ def monicize(form: BinaryForm, p: int) -> tuple[int, BinaryForm]:
 
 def substitute_y_shift(form: BinaryForm, u: int) -> BinaryForm:
     """Expand F(x, y + u*x) exactly."""
+    # coeffs ascend in y, so F(1, y + u) is their composition with u + y
     n = form.degree
-    new = [0] * (n + 1)
-    for i, c in enumerate(form.coeffs):
-        if c == 0:
-            continue
-        # (y + u x)^i contributes C(i,j) u^(i-j) x^(i-j) y^j
-        for j in range(i + 1):
-            new[j] += c * comb(i, j) * u ** (i - j)
-    return BinaryForm(n, tuple(new))
+    new = polyutil.compose_linear(form.coeffs, u, 1)
+    return BinaryForm(n, new + (0,) * (n + 1 - len(new)))
 
 
 @dataclass(frozen=True)
@@ -245,7 +236,7 @@ class ThueInstance:
     def build(cls, form: BinaryForm, h: int) -> "ThueInstance":
         if h == 0:
             raise FormError("h must be nonzero")
-        content = form.content()
+        content = polyutil.content(form.coeffs)
         removed = 1
         if content > 1:
             # normalize by content; meaningful only when it divides h

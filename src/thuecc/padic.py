@@ -27,11 +27,12 @@ from fractions import Fraction
 from math import gcd
 
 import sympy
-from sympy import Poly, Symbol
+from sympy import ZZ, Poly, Symbol
+from sympy.polys.factortools import dup_zz_hensel_lift
 
 from thuecc import polyutil
 from thuecc.forms import FormShape, ThueInstance
-from thuecc.polyutil import IntPoly, divmod_monic, poly_mod, vp
+from thuecc.polyutil import IntPoly, poly_mod, vp
 
 INF = float("inf")
 
@@ -138,66 +139,6 @@ def difference_valuations(shape: FormShape, p: int) -> list[tuple[Fraction, int]
 # Hensel-lifted root tracking
 
 
-def _poly_ext_gcd_mod_p(f, g, p: int) -> tuple[IntPoly, IntPoly]:
-    """(s, t) with s*f + t*g = 1 mod p, for f, g coprime mod p."""
-    r0, r1 = poly_mod(f, p), poly_mod(g, p)
-    s0, s1 = (1,), ()
-    t0, t1 = (), (1,)
-    while r1:
-        lead_inv = pow(r1[-1], -1, p)
-        r1m = poly_mod(polyutil.scale(r1, lead_inv), p)
-        q, r = divmod_monic(r0, r1m)
-        q, r = poly_mod(polyutil.scale(q, lead_inv), p), poly_mod(r, p)
-        r0, r1 = r1, r
-        s0, s1 = s1, poly_mod(polyutil.add(s0, polyutil.scale(polyutil.mul(q, s1), -1)), p)
-        t0, t1 = t1, poly_mod(polyutil.add(t0, polyutil.scale(polyutil.mul(q, t1), -1)), p)
-    if len(r0) != 1:
-        raise ValueError("polynomials not coprime mod p")
-    inv = pow(r0[0], -1, p)
-    return poly_mod(polyutil.scale(s0, inv), p), poly_mod(polyutil.scale(t0, inv), p)
-
-
-def _hensel_lift_pair(f, g, h, p: int, N: int) -> tuple[IntPoly, IntPoly]:
-    """Lift a coprime monic factorization f = g*h mod p to mod p^N.
-
-    f, g, h monic; returns (G, H) monic mod p^N with G*H = f mod p^N,
-    G = g mod p, H = h mod p.
-    """
-    s, t = _poly_ext_gcd_mod_p(g, h, p)
-    G, H = poly_mod(g, p), poly_mod(h, p)
-    pk = p
-    for _ in range(N - 1):
-        m = pk * p
-        GH = poly_mod(polyutil.mul(G, H), m)
-        diff = polyutil.add(poly_mod(f, m), polyutil.scale(GH, -1))
-        e = poly_mod(tuple(c // pk for c in polyutil.trim(diff)), p)
-        if e:
-            Gp = poly_mod(G, p)
-            te = poly_mod(polyutil.mul(t, e), p)
-            u = poly_mod(divmod_monic(te, Gp)[1], p)
-            num = polyutil.add(e, polyutil.scale(polyutil.mul(u, H), -1))
-            w, rem = divmod_monic(poly_mod(num, p), Gp)
-            assert not poly_mod(rem, p), "hensel correction must divide exactly"
-            G = poly_mod(polyutil.add(G, polyutil.scale(u, pk)), m)
-            H = poly_mod(polyutil.add(H, polyutil.scale(poly_mod(w, p), pk)), m)
-        else:
-            G, H = poly_mod(G, m), poly_mod(H, m)
-        pk = m
-    return G, H
-
-
-def _hensel_lift_factors(f, factors: list[IntPoly], p: int, N: int) -> list[IntPoly]:
-    """Lift the pairwise-coprime monic factorization of monic f mod p."""
-    if len(factors) == 1:
-        return [poly_mod(f, p**N)]
-    g = factors[0]
-    h = (1,)
-    for fac in factors[1:]:
-        h = poly_mod(polyutil.mul(h, fac), p)
-    G, H = _hensel_lift_pair(f, g, h, p, N)
-    return [G] + _hensel_lift_factors(H, factors[1:], p, N)
-
-
 @dataclass(frozen=True)
 class TrackedRoot:
     """One distinct root of F(x,1), tracked to precision p^N.
@@ -226,6 +167,17 @@ class TrackedRoots:
     precision: int
     roots: tuple[TrackedRoot, ...]
     partial: bool = False
+
+    def residue(self, root: TrackedRoot) -> int:
+        """The p-adic integer root as an integer mod p^N."""
+        pn = self.p**self.precision
+        if root.kind == "rational":
+            if root.rational.denominator % self.p == 0:
+                raise ValueError("root not integral at p")
+            return root.rational.numerator * pow(root.rational.denominator, -1, pn) % pn
+        if root.kind == "lifted":
+            return root.approx
+        raise ValueError("inert root has no residue in Z/p^N")
 
     def root_minus_point(self, root: TrackedRoot, a: int, b: int) -> Val:
         """v(a - alpha*b) for the tracked root alpha and integers a, b."""
@@ -335,10 +287,12 @@ def hensel_track_roots(
                     f"factor {qc} is not squarefree mod {p}: roots cannot be "
                     "separated in unramified towers (profile mode still applies)"
                 )
-            lc_inv = pow(qc[-1], -1, p**precision)
-            monic = poly_mod(polyutil.scale(qc, lc_inv), p**precision)
-            lifted = _hensel_lift_factors(monic, [f for f, _ in modular], p, precision)
-            for fac in lifted:
+            # sympy works on descending coefficient lists and returns
+            # symmetric residues; the lifts are the monic factors of
+            # qc / lc(qc) mod p^precision
+            desc = [list(reversed(f)) for f in [qc] + [f for f, _ in modular]]
+            lifted = dup_zz_hensel_lift(p, desc[0], desc[1:], precision, ZZ)
+            for fac in (poly_mod(f[::-1], p**precision) for f in lifted):
                 d = polyutil.degree(fac)
                 if d == 1:
                     entries.append(
@@ -448,13 +402,9 @@ def solution_valuations(
                 entries.extend([RootValuationEntry(Fraction(0), mult)] * d)
                 continue
             # g(T) = b^d w((a-T)/b) has roots T_j = a - alpha_j b
-            g: IntPoly = ()
-            shift = polyutil.trim((a, -1))
-            pw: IntPoly = (1,)
-            for j, wc in enumerate(w):
-                if wc:
-                    g = polyutil.add(g, polyutil.scale(pw, wc * b ** (d - j)))
-                pw = polyutil.mul(pw, shift)
+            g = polyutil.compose_linear(
+                [wc * b ** (d - j) for j, wc in enumerate(w)], a, -1
+            )
             for v, m in root_valuations(g, p):
                 entries.extend([RootValuationEntry(v, mult)] * m)
     t: Val = max((e.value for e in entries), default=Fraction(0))

@@ -1,3 +1,5 @@
+import csv
+import io
 import random
 from fractions import Fraction
 from math import gcd
@@ -24,6 +26,7 @@ from thuecc.bounds import (
     main_bounds,
     projection_point_bound,
     rank_threshold,
+    refined_bounds,
     refined_bounds_degree_pm1,
     refined_bounds_prime_degree,
 )
@@ -295,3 +298,24 @@ def test_csv_rows(capsys):
     assert rows[0] == (
         "F=[1 0 0 0 1];h=17,5,a,case_a,|X(Q)|,29,29,Chabauty rank < g [cli flag]"
     )
+    # quantities such as N(F,h,Q,p) contain commas and must be quoted
+    assert cli.main(["bound", "--F", "1,0,0,0,1", "--h", "17", "--format", "csv"]) == 0
+    parsed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(parsed) == 4
+    assert all(len(row) == 8 for row in parsed)
+    assert {row[4] for row in parsed} == {"|X(Q)|", "N(F,h)", "N(F,h,Q,p)"}
+
+
+def test_refined_bounds_by_degree():
+    def blocks(coeffs, h):
+        inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), h)
+        return [(rep.p, rep.entries[0].name) for rep in refined_bounds(inst, None)]
+
+    # n = 4: n + 1 = 5 is prime
+    assert blocks([1, 0, 0, 0, 1], 17) == [(5, "pm1_local")]
+    # n = 5: prime degree at p = 2*5 + 1 = 11; n + 1 = 6 is not prime
+    assert [p for p, _ in blocks([1, 0, 0, 0, 0, 2], 7)] == [11]
+    # n = 7: 15 and 22 are composite, so a = 4 and p = 29
+    assert [p for p, _ in blocks([1, 0, 0, 0, 0, 0, 0, 3], 5)] == [29]
+    # n = 8: neither 8 nor 9 is prime
+    assert blocks([1, 0, 0, 0, 0, 0, 0, 0, 3], 5) == []

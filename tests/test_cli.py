@@ -149,6 +149,26 @@ def test_input_errors(tmp_path, capsys):
     capsys.readouterr()
     assert main(["verify", "--F", "0,0,0,1", "--h", "5"]) == 3  # reducible model
     assert "reducible" in json.loads(capsys.readouterr().out)["rows"][0]["error"]
+    # usage errors are input errors, not the exit 2 of a failed check
+    assert main(["analyze", "--F", "1,0,0,0,1", "--h", "17", "--bogus"]) == 3
+    assert main(["verify", "--F", "-1,0,0,0,1", "--h", "17"]) == 3  # needs --F=-1,...
+    assert main(["analyze"]) == 3
+    # boxes below 1 are rejected, not scanned as empty or replaced by the default
+    assert main(["verify", "--F", "1,0,0,0,1", "--h", "17", "--box", "-5"]) == 3
+    assert main(["verify", "--F", "1,0,0,0,1", "--h", "17", "--box", "0"]) == 3
+    assert main(["fermat", "check", "--A", "1", "--B", "1", "--C", "17",
+                 "--n", "4", "--p", "5", "--box", "-1"]) == 3
+    # orbits need n >= 2: n = 0 divided by zero, n = 1 never returned
+    assert main(["fermat", "orbit", "--t", "1,2,1", "--n", "0"]) == 3
+    assert main(["fermat", "orbit", "--t", "1,2,1", "--n", "1"]) == 3
+    assert "need n >= 2" in capsys.readouterr().err
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--help"])
+    assert exc.value.code == 0
+    assert "--box" in capsys.readouterr().out
 
 
 def test_fermat_construct(capsys):

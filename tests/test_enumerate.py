@@ -95,6 +95,10 @@ def test_large_box_filtered_runs():
 def test_search_box_validation():
     with pytest.raises(ValueError):
         SearchBox(0)
+    inst = ThueInstance.build(BinaryForm.from_coeffs([1, 0, 0, 0, 1]), 17)
+    for bad in (0, -5):
+        with pytest.raises(ValueError):
+            primitive_solutions(inst, bad)
     assert default_box(4).bound == 10**4
     assert default_box(8).bound == 10**3
 

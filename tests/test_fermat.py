@@ -91,6 +91,10 @@ def test_orbit_counts():
     assert orbit_count(SolutionTriple(1, -1, 2), True, 4) == 16
     with pytest.raises(FermatError):
         orbit_count(SolutionTriple(1, 0, 1), False, 4)
+    # n = 0 divided by zero and n = 1 never found a field prime
+    for n in (0, 1, -3):
+        with pytest.raises(FermatError):
+            orbit_count(SolutionTriple(1, 2, 1), False, n)
 
 
 def test_orbit_over_f13():

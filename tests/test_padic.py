@@ -2,7 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import product_form, random_tracked_instance
@@ -143,6 +144,62 @@ def test_hensel_lifted_roots_satisfy_minpoly():
                 _, rem = polyutil.divmod_monic(monic, r.factor)
                 assert not polyutil.poly_mod(rem, p**prec)
         done += 1
+
+
+@given(
+    st.integers(2, 12),
+    st.sampled_from([-1, 1]),
+    st.lists(st.integers(-30, 30), min_size=2, max_size=10),
+    st.integers(5, 31).filter(sympy.isprime),
+    st.integers(1, 12),
+)
+@settings(max_examples=100, deadline=None)
+def test_hensel_lift_properties(lead, sign, tail, p, N):
+    """Every rational factor q of F(x,1) that is squarefree mod p is
+    tracked through monic lifts of its factors mod p, reduced into
+    [0, p^N), whose product is q / lc(q) mod p^N."""
+    n = len(tail)
+    assume(n % p != 0)
+    form = BinaryForm.from_coeffs([sign * lead] + tail)  # non-monic, degree <= 10
+    tracked = hensel_track_roots(factor_shape(form), p, N, partial=True)
+    pn = p**N
+    lifts: dict = {}
+    for r in tracked.roots:
+        if r.kind != "rational":
+            lifts.setdefault(r.minpoly, []).append(r.factor)
+    _, factors = polyutil.to_sympy(form.dehomogenized()).factor_list()
+    for q, _ in factors:
+        q = polyutil.from_sympy(q)
+        if polyutil.degree(q) < 2 or q[-1] % p == 0:
+            continue
+        modular = polyutil.factor_mod_p(q, p)
+        if any(e > 1 for _, e in modular):
+            continue
+        got = lifts.pop(q)
+        assert all(f[-1] == 1 and min(f) >= 0 and max(f) < pn for f in got)
+        assert sorted(polyutil.poly_mod(f, p) for f in got) == sorted(f for f, _ in modular)
+        product = (1,)
+        for f in got:
+            product = polyutil.poly_mod(polyutil.mul(product, f), pn)
+        assert product == polyutil.poly_mod(polyutil.scale(q, pow(q[-1], -1, pn)), pn)
+    assert not lifts
+
+
+def test_tracked_residue():
+    # (x - 1/5)(x^2 - 2) at p = 7: 1/5 is 7-integral, sqrt(2) lifts
+    form = BinaryForm.from_coeffs([5, -1, -10, 2])
+    tr = hensel_track_roots(factor_shape(form), 7, 3)
+    assert sorted(r.kind for r in tr.roots) == ["lifted", "lifted", "rational"]
+    for r in tr.roots:
+        res = tr.residue(r)
+        assert polyutil.evaluate(r.minpoly, res) % 343 == 0
+    # 1/7 is not 7-integral, and x^2 + x + 1 is inert at 5
+    tr = hensel_track_roots(factor_shape(BinaryForm.from_coeffs([7, -1])), 7, 2)
+    with pytest.raises(ValueError):
+        tr.residue(tr.roots[0])
+    tr = hensel_track_roots(factor_shape(BinaryForm.from_coeffs([1, 1, 1])), 5, 4)
+    with pytest.raises(ValueError):
+        tr.residue(tr.roots[0])
 
 
 def test_hensel_inert_factor():
