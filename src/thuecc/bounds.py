@@ -58,9 +58,9 @@ class PrimeCase:
 
 
 def classify_prime(instance: ThueInstance, p: int) -> PrimeCase:
-    """Split on exact divisibility: p | h and v_p(d*(F)) > 0."""
-    if p <= instance.n:
-        raise BoundError(f"classification requires p > n (got p={p}, n={instance.n})")
+    """Split a prime p > n on exact divisibility: p | h and v_p(d*(F)) > 0."""
+    if p <= instance.n or not sympy.isprime(p):
+        raise BoundError(f"classification requires a prime p > n (got p={p}, n={instance.n})")
     divides_h = instance.h % p == 0
     divides_dstar = polyutil.vp_frac(instance.dstar, p) > 0
     return PrimeCase(p, divides_h, divides_dstar)

@@ -23,6 +23,8 @@ import json
 import sys
 from fractions import Fraction
 
+import sympy
+
 from thuecc import bounds as bnd
 from thuecc import charts as ch
 from thuecc import enumerate as en
@@ -218,7 +220,7 @@ def cmd_verify(args) -> tuple[dict, int]:
                     f"{len(sols)} <= {e.floor} [{e.quantity}]",
                 )
         # chart identities at a prime dividing h
-        ph = next((q for q in _divisor_primes(inst.h) if q > n), None)
+        ph = next((q for q in sympy.primefactors(inst.h) if q > n), None)
         if ph is not None:
             charts = _verify_charts(inst, sols, ph, check, args.precision)
             if charts:
@@ -229,12 +231,6 @@ def cmd_verify(args) -> tuple[dict, int]:
     else:
         code = EXIT_INPUT if any("error" in r for r in rows) else EXIT_OK
     return {"command": "verify", "rows": rows}, code
-
-
-def _divisor_primes(h: int):
-    import sympy
-
-    return sorted(sympy.factorint(abs(h)).keys())
 
 
 def _verify_charts(inst: ThueInstance, sols, p: int, check, precision=None):

@@ -10,7 +10,7 @@ arithmetic.  Both strategies are exposed so they can be cross-checked.
 
 Every evaluation of a binary form over F_q^2 (the sieve tables, the
 affine and projective point counts, the chart fibers) goes through one
-kernel, roots_mod_q.
+kernel, root_table, which returns the roots in y for every x mod q.
 """
 
 from __future__ import annotations
@@ -71,8 +71,8 @@ def scan_stripe(
     if strategy != "filtered":
         raise ValueError(f"unknown strategy {strategy!r}")
     q1, q2 = _filter_primes(h, box)
-    t1 = [roots_mod_q(form.coeffs, h, q1, x) for x in range(q1)]
-    t2 = [roots_mod_q(form.coeffs, h, q2, x) for x in range(q2)]
+    t1 = root_table(form.coeffs, h, q1)
+    t2 = root_table(form.coeffs, h, q2)
     m = q1 * q2
     c1 = q2 * pow(q2, -1, q1)  # CRT basis: 1 mod q1, 0 mod q2
     c2 = q1 * pow(q1, -1, q2)
@@ -105,24 +105,28 @@ def _filter_primes(h: int, box: int) -> tuple[int, int]:
     return q1, q2
 
 
-def roots_mod_q(coeffs, h: int, q: int, x: int) -> list[int]:
-    """The y in F_q, ascending, with sum_i coeffs[i] x^(n-i) y^i = h mod q.
+def root_table(coeffs, h: int, q: int) -> list[list[int]]:
+    """Row x in F_q (q prime): the y, ascending, with sum_i coeffs[i]
+    x^(n-i) y^i = h mod q, coeffs in BinaryForm order.
 
-    coeffs is in BinaryForm order.  Each coefficient is premultiplied by
-    x^(n-i) once, then the polynomial in y is evaluated by Horner's rule.
+    For x != 0, F(x, x t) = x^n f(t) with f(t) = F(1, t), so one Horner
+    sweep of f bucketed by value gives row x as x * bucket[h x^(-n)].
+    Row 0 solves coeffs[n] y^n = h directly.
     """
     n = len(coeffs) - 1
-    cs = [c * pow(x, n - i, q) % q for i, c in enumerate(coeffs)]
-    cs.reverse()
+    cs = [c % q for c in reversed(coeffs)]
     target = h % q
-    roots = []
-    for y in range(q):
+    buckets: dict[int, list[int]] = {}
+    for t in range(q):
         acc = 0
         for c in cs:
-            acc = (acc * y + c) % q
-        if acc == target:
-            roots.append(y)
-    return roots
+            acc = (acc * t + c) % q
+        buckets.setdefault(acc, []).append(t)
+    table = [[y for y in range(q) if (cs[0] * pow(y, n, q) - target) % q == 0]]
+    for x in range(1, q):
+        ts = buckets.get(target * pow(x, -n, q) % q, ())
+        table.append(sorted(x * t % q for t in ts))
+    return table
 
 
 def primitive_solutions(
@@ -143,8 +147,7 @@ def primitive_solutions(
 
 def count_affine_points_mod_p(instance: ThueInstance, p: int) -> int:
     """Number of (x, y) in F_p^2 with F(x,y) = h mod p."""
-    coeffs, h = instance.form.coeffs, instance.h
-    return sum(len(roots_mod_q(coeffs, h, p, x)) for x in range(p))
+    return sum(map(len, root_table(instance.form.coeffs, instance.h, p)))
 
 
 def count_projective_smooth(instance: ThueInstance, p: int) -> int:
@@ -166,7 +169,7 @@ def count_projective_smooth(instance: ThueInstance, p: int) -> int:
     # points at infinity: z = 0, F(x,y) = 0 on the projective line, as
     # (1:y) for y in F_p plus (0:1) when F(0,1) = 0
     coeffs = instance.form.coeffs
-    count += len(roots_mod_q(coeffs, 0, p, 1))
+    count += len(root_table(coeffs, 0, p)[1])
     if coeffs[-1] % p == 0:
         count += 1
     g = instance.genus

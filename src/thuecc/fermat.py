@@ -81,6 +81,8 @@ def solve_coefficients(t1: SolutionTriple, t2: SolutionTriple, n: int) -> Fermat
     fixed by C >= 0, then A >= 0, then B >= 0.  Rank below 2 (equivalent
     triples) is an error.
     """
+    if n < 2:
+        raise FermatError("need n >= 2")
     r1 = (t1.x**n, t1.y**n, -(t1.z**n))
     r2 = (t2.x**n, t2.y**n, -(t2.z**n))
     w = _cross(r1, r2)

@@ -46,6 +46,8 @@ def test_classify_prime():
     assert classify_prime(inst_d, 5).case_tag == "d"
     with pytest.raises(BoundError):
         classify_prime(inst, 3)
+    with pytest.raises(BoundError, match="requires a prime"):
+        classify_prime(inst, 6)
 
 
 def test_bertrand_prime():

@@ -162,6 +162,13 @@ def test_input_errors(tmp_path, capsys):
     assert main(["fermat", "orbit", "--t", "1,2,1", "--n", "0"]) == 3
     assert main(["fermat", "orbit", "--t", "1,2,1", "--n", "1"]) == 3
     assert "need n >= 2" in capsys.readouterr().err
+    assert main(["fermat", "construct", "--t1", "1,2,1", "--t2", "2,1,1", "--n", "-1"]) == 3
+    assert "need n >= 2" in capsys.readouterr().err
+    # --p must be prime: a composite p in (n, 2n) is an input error
+    assert main(["analyze", "--F", "1,0,0,0,1", "--h", "17", "--p", "6"]) == 3
+    assert main(["bound", "--F", "1,0,0,0,1", "--h", "17", "--p", "6"]) == 3
+    assert main(["verify", "--F", "1,0,0,0,1", "--h", "17", "--p", "6", "--box", "20"]) == 3
+    assert "requires a prime p > n (got p=6, n=4)" in capsys.readouterr().err
 
 
 def test_help_exits_zero(capsys):

@@ -3,6 +3,8 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from helpers import product_form, random_form, random_tracked_instance
 from thuecc import polyutil
@@ -17,6 +19,7 @@ from thuecc.enumerate import (
     product_form_family,
     product_form_family_extra,
     residue_class_census,
+    root_table,
     scan_stripe,
 )
 from thuecc.forms import BinaryForm, ThueInstance
@@ -198,6 +201,67 @@ def test_projective_points_at_infinity_brute_oracle():
             zero_root_seen |= F.coeffs[-1] % p == 0
             done += 1
     assert zero_root_seen
+
+
+PRIMES_TO_31 = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+@st.composite
+def table_cases(draw):
+    """(q, coeffs, h) with zero coefficients, q | c_0, q | c_n, q | h and
+    h = 0 all reachable."""
+    q = draw(st.sampled_from(PRIMES_TO_31))
+    n = draw(st.integers(1, 8))
+    coeff = st.one_of(st.just(0), st.integers(-60, 60))
+    coeffs = draw(st.lists(coeff, min_size=n + 1, max_size=n + 1))
+    if draw(st.booleans()):
+        coeffs[0] *= q
+    if draw(st.booleans()):
+        coeffs[-1] *= q
+    h = draw(st.one_of(st.just(0), st.integers(-500, 500)))
+    if draw(st.booleans()):
+        h *= q
+    return q, coeffs, h
+
+
+@given(table_cases())
+@settings(max_examples=300, deadline=None)
+def test_root_table_matches_brute_double_loop(case):
+    q, coeffs, h = case
+    n = len(coeffs) - 1
+    table = root_table(coeffs, h, q)
+    assert len(table) == q
+    for x in range(q):
+        row = [
+            y
+            for y in range(q)
+            if (sum(c * x ** (n - i) * y**i for i, c in enumerate(coeffs)) - h) % q == 0
+        ]
+        assert table[x] == row
+
+
+@given(
+    st.sampled_from(PRIMES_TO_31[3:]),
+    st.integers(3, 6).flatmap(
+        lambda n: st.lists(st.integers(-9, 9), min_size=n - 1, max_size=n - 1)
+    ),
+    st.integers(-9, 9).filter(bool),
+    st.integers(-9, 9),
+    st.booleans(),
+    st.integers(-60, 60).filter(bool),
+)
+@settings(max_examples=60, deadline=None)
+def test_projective_smooth_count_brute_property(p, middle, c0, cn, p_divides_cn, h):
+    # the count is the affine points plus the nonzero zeros of F in F_p^2
+    # over p - 1; p | c_n puts (0:1) on the line at infinity
+    coeffs = [c0, *middle, p * cn if p_divides_cn else cn]
+    assume(polyutil.content(coeffs) == 1 and h % p != 0)
+    inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), h)
+    assume(inst.shape.s == inst.n and polyutil.vp_frac(inst.dstar, p) == 0)
+    F = inst.form
+    affine = sum(1 for x in range(p) for y in range(p) if (F(x, y) - h) % p == 0)
+    nonzero = sum(1 for x in range(p) for y in range(p) if (x or y) and F(x, y) % p == 0)
+    assert count_projective_smooth(inst, p) == affine + nonzero // (p - 1)
 
 
 def test_projective_smooth_pre_enforced():

@@ -35,6 +35,13 @@ def test_solve_coefficients_rejects_equivalent():
         solve_coefficients(t, SolutionTriple(-1, 2, 1), 4)  # equal 4th powers
 
 
+def test_solve_coefficients_rejects_small_n():
+    # n is checked before the power vectors are built
+    for n in (1, 0, -1, -3):
+        with pytest.raises(FermatError, match="need n >= 2"):
+            solve_coefficients(SolutionTriple(1, 2, 1), SolutionTriple(2, 1, 1), n)
+
+
 @given(
     st.tuples(nonzero, nonzero, nonzero),
     st.tuples(nonzero, nonzero, nonzero),

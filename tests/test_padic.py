@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import product_form, random_tracked_instance
 from thuecc import polyutil
 from thuecc.enumerate import primitive_solutions
-from thuecc.forms import BinaryForm, ThueInstance, factor_shape, monicize
+from thuecc.forms import BinaryForm, FormShape, ThueInstance, factor_shape, monicize
 from thuecc.padic import (
     INF,
     RamifiedCase,
@@ -66,6 +66,13 @@ def test_difference_valuations_examples():
     assert sorted(difference_valuations(sh2, 5)) == [(Fraction(0), 4), (Fraction(1), 2)]
     sh3 = factor_shape(BinaryForm.from_coeffs([1, 0, 1]))
     assert difference_valuations(sh3, 5) == [(Fraction(0), 2)]
+
+
+def test_difference_valuations_rejects_non_squarefree_radical():
+    # (x - 1)^2 (x + 2) = x^3 - 3x + 2 passed off as three distinct roots
+    sh = FormShape(3, (1, 1, 1), 1, (2, -3, 0, 1), 0)
+    with pytest.raises(ValueError, match="not squarefree"):
+        difference_valuations(sh, 5)
 
 
 def test_difference_valuations_sum_matches_discriminant():
