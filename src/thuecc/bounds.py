@@ -95,6 +95,9 @@ class RankHypothesis:
             raise BoundError(f"unknown hypothesis kind {self.kind!r}")
         if self.kind != "chabauty_lt_g" and self.value is None:
             raise BoundError(f"hypothesis {self.kind} needs a value")
+        least = 1 if self.kind == "mw_lt_threshold" else 0  # ranks are >= 0
+        if self.value is not None and self.value < least:
+            raise BoundError(f"hypothesis {self.kind}:{self.value} cannot hold for a rank")
 
     def implies_chabauty_lt(self, g: int) -> bool:
         """Whether the assertion implies Chabauty rank < g (Chab <= MW)."""

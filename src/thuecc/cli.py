@@ -61,6 +61,8 @@ def _parse_hypothesis(text: str | None) -> bnd.RankHypothesis | None:
         )
     except bnd.BoundError as exc:
         raise InputError(str(exc)) from exc
+    except ValueError as exc:
+        raise InputError(f"hypothesis value must be an integer, got {value!r}") from exc
 
 
 def _load_instances(args) -> list[ThueInstance]:
@@ -190,6 +192,9 @@ def cmd_verify(args) -> tuple[dict, int]:
             rows.append({"instance": inst.instance_id(), "error": "reducible model"})
             continue
         n = inst.n
+        p = args.p or bnd.bertrand_prime(n)
+        # main_bounds rejects a bad p before any valuation at p is taken
+        report = bnd.main_bounds(inst, p, hyp)
         box = args.box if args.box is not None else en.default_box(n).bound
         sols = en.primitive_solutions(inst, box)
         row: dict = {
@@ -198,7 +203,6 @@ def cmd_verify(args) -> tuple[dict, int]:
             "solutions": [list(s) for s in sols.solutions],
             "count": len(sols),
         }
-        p = args.p or bnd.bertrand_prime(n)
         # difference-valuation consistency at p
         shape = inst.shape
         if shape.s >= 2:
@@ -211,7 +215,6 @@ def cmd_verify(args) -> tuple[dict, int]:
                 f"sum {total} vs v_p(disc)-(2s-2)v_p(lc) = {expected}",
             )
         # bound comparison
-        report = bnd.main_bounds(inst, p, hyp)
         for e in report.entries:
             if not e.conditional:
                 check(

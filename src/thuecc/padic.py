@@ -28,7 +28,7 @@ from math import gcd
 
 import sympy
 from sympy import ZZ, Poly, Symbol
-from sympy.polys.factortools import dup_zz_hensel_lift
+from sympy.polys.factortools import dup_factor_list, dup_zz_hensel_lift
 
 from thuecc import polyutil
 from thuecc.forms import FormShape, ThueInstance
@@ -233,9 +233,11 @@ class TrackedRoots:
 
 def default_precision(instance: ThueInstance, p: int) -> int:
     """Precision separating all roots and certifying every valuation in a
-    primitive solution's profile: v_p(h) + v_p(disc(radical)) + 5."""
-    disc = polyutil.discriminant(instance.shape.radical)
-    return vp(instance.h, p) + (vp(disc, p) if disc else 0) + 5
+    primitive solution's profile: v_p(h) + v_p(disc(radical)) + 5, with
+    v_p(disc) read off d* = +-c disc / lc(radical)^(2s-2) (0 for s <= 1)."""
+    sh = instance.shape
+    v_disc = polyutil.vp_frac(instance.dstar / sh.lead, p) + (2 * sh.s - 2) * vp(sh.radical[-1], p)
+    return vp(instance.h, p) + (v_disc if sh.s >= 2 else 0) + 5
 
 
 def hensel_track_roots(
@@ -259,10 +261,8 @@ def hensel_track_roots(
     entries: list[TrackedRoot] = []
     skipped = False
     for mult, w in shape.sqf_parts:
-        wpoly = polyutil.to_sympy(w)
-        _, qfactors = wpoly.factor_list()
-        for q, _e in qfactors:
-            qc = polyutil.from_sympy(q)
+        for q, _e in dup_factor_list(polyutil.to_dense(w), ZZ)[1]:
+            qc = polyutil.from_dense(q)
             deg = polyutil.degree(qc)
             if deg == 1:
                 root = Fraction(-qc[0], qc[1])
@@ -289,7 +289,7 @@ def hensel_track_roots(
             # sympy works on descending coefficient lists and returns
             # symmetric residues; the lifts are the monic factors of
             # qc / lc(qc) mod p^precision
-            desc = [list(reversed(f)) for f in [qc] + [f for f, _ in modular]]
+            desc = [polyutil.to_dense(f) for f in [qc] + [f for f, _ in modular]]
             lifted = dup_zz_hensel_lift(p, desc[0], desc[1:], precision, ZZ)
             for fac in (poly_mod(f[::-1], p**precision) for f in lifted):
                 d = polyutil.degree(fac)

@@ -2,8 +2,9 @@
 
 Univariate integer polynomials are plain tuples of coefficients in
 *ascending* order: ``poly[k]`` is the coefficient of x^k.  The zero
-polynomial is the empty tuple.  Anything heavier (factorization mod p,
-resultants, squarefree decomposition) is delegated to sympy.
+polynomial is the empty tuple.  Discriminants, squarefree decomposition
+and factorization mod p call sympy's dense ``dup_*``/``gf_*`` kernels on
+the descending list ``to_dense(f)``, with no ``Poly`` or expression.
 """
 
 from __future__ import annotations
@@ -11,8 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-import sympy
-from sympy import Poly, Symbol
+from sympy import ZZ, Poly, Symbol
+from sympy.polys.euclidtools import dup_discriminant
+from sympy.polys.galoistools import gf_factor, gf_from_int_poly
+from sympy.polys.sqfreetools import dup_sqf_list
 
 _X = Symbol("x")
 
@@ -118,6 +121,8 @@ def compose_linear(f, a0: int, a1: int) -> IntPoly:
 
 def vp(x: int, p: int) -> int:
     """p-adic valuation of a nonzero integer."""
+    if p < 2:
+        raise ValueError(f"valuation at p={p} requested; p must be at least 2")
     if x == 0:
         raise ValueError("valuation of 0 requested")
     v = 0
@@ -134,12 +139,21 @@ def vp_frac(x: Fraction | int, p: int) -> int:
     return vp(x.numerator, p) - vp(x.denominator, p)
 
 
+def to_dense(f) -> list[int]:
+    """Descending coefficient list, the dense form of sympy's dup_*/gf_*."""
+    return list(reversed(trim(f)))
+
+
+def from_dense(coeffs) -> IntPoly:
+    return trim(tuple(int(c) for c in reversed(coeffs)))
+
+
 def to_sympy(f) -> Poly:
-    return Poly(list(reversed(trim(f) or (0,))), _X)
+    return Poly(to_dense(f) or [0], _X)
 
 
 def from_sympy(poly: Poly) -> IntPoly:
-    return trim(tuple(int(c) for c in reversed(poly.all_coeffs())))
+    return from_dense(poly.all_coeffs())
 
 
 def sqf_parts(f) -> list[tuple[int, IntPoly]]:
@@ -150,48 +164,23 @@ def sqf_parts(f) -> list[tuple[int, IntPoly]]:
     Multiplicity structure is Galois-stable, so this determines the
     multiplicities of the roots without materializing any root.
     """
-    _, parts = to_sympy(f).sqf_list()
-    out = []
-    for poly, k in parts:
-        w = primitive(from_sympy(poly))
-        if degree(w) >= 1:
-            out.append((int(k), w))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out
-
-
-def radical(f) -> IntPoly:
-    """Product of the distinct irreducible factors (squarefree part)."""
-    acc: IntPoly = (1,)
-    for _, w in sqf_parts(f):
-        acc = mul(acc, w)
-    return primitive(acc)
+    parts = [(int(k), primitive(from_dense(w))) for w, k in dup_sqf_list(to_dense(f), ZZ)[1]]
+    return sorted(t for t in parts if degree(t[1]) >= 1)
 
 
 def discriminant(f) -> int:
-    d = sympy.discriminant(to_sympy(f).as_expr(), _X)
-    return int(d)
+    return int(dup_discriminant(to_dense(f), ZZ))
 
 
 def factor_mod_p(f, p: int) -> list[tuple[IntPoly, int]]:
     """Monic irreducible factorization of f mod p as [(factor, exponent)].
 
     Factors are ascending-coefficient tuples reduced into [0, p).  The
-    leading-coefficient unit is dropped.
+    leading-coefficient unit is dropped, and f = 0 mod p gives [].
     """
-    import warnings
-
-    expr = to_sympy(f).as_expr()
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        _, factors = sympy.factor_list(expr, _X, modulus=p)
-    out = []
-    for poly, k in factors:
-        g = Poly(poly, _X, modulus=p)
-        coeffs = [int(c) % p for c in reversed(g.all_coeffs())]
-        out.append((trim(tuple(coeffs)), int(k)))
-    out.sort(key=lambda t: (degree(t[0]), t[0]))
-    return out
+    _, factors = gf_factor(gf_from_int_poly(to_dense(f), p), p, ZZ)
+    out = [(from_dense(g), int(k)) for g, k in factors]
+    return sorted(out, key=lambda t: (degree(t[0]), t[0]))
 
 
 def poly_mod(f, m: int) -> IntPoly:

@@ -1,8 +1,10 @@
 """Shared test utilities: random instance generators and independent
-oracles (brute-force Z_p root counting, partition enumeration)."""
+oracles (brute-force Z_p root counting, partition enumeration, Sylvester
+resultants)."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd, lcm
 
 from thuecc import polyutil
@@ -130,3 +132,32 @@ def partitions(n: int, max_part: int | None = None):
     for first in range(min(n, max_part), 0, -1):
         for rest in partitions(n - first, first):
             yield (first,) + rest
+
+
+def sylvester_resultant(f, g) -> int:
+    """Res(f, g) of two nonzero ascending integer polynomials, as the
+    determinant of their Sylvester matrix by Fraction elimination."""
+    f, g = polyutil.trim(f), polyutil.trim(g)
+    m, n = len(f) - 1, len(g) - 1
+    size = m + n
+    if size == 0:
+        return 1
+    rows = [[0] * i + list(reversed(f)) + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + list(reversed(g)) + [0] * (m - 1 - i) for i in range(m)]
+    a = [[Fraction(c) for c in row] for row in rows]
+    det = Fraction(1)
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if a[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, size):
+            ratio = a[r][col] / a[col][col]
+            if ratio:
+                for k in range(col, size):
+                    a[r][k] -= ratio * a[col][k]
+    assert det.denominator == 1
+    return int(det)

@@ -279,6 +279,11 @@ def test_hypothesis_validation():
         RankHypothesis("bogus")
     with pytest.raises(BoundError):
         RankHypothesis("mw_rank_value")
+    # a rank is never negative, so these would make every bound unconditional
+    for kind, value in [("mw_rank_value", -1), ("mw_lt_threshold", 0), ("mw_lt_threshold", -3)]:
+        with pytest.raises(BoundError):
+            RankHypothesis(kind, value)
+    assert RankHypothesis("mw_lt_threshold", 1).implies_chabauty_lt(2)
     h = RankHypothesis("mw_rank_value", 2, source="assumed")
     assert h.implies_chabauty_lt(3)
     assert not h.implies_chabauty_lt(2)

@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -169,6 +170,42 @@ def test_input_errors(tmp_path, capsys):
     assert main(["bound", "--F", "1,0,0,0,1", "--h", "17", "--p", "6"]) == 3
     assert main(["verify", "--F", "1,0,0,0,1", "--h", "17", "--p", "6", "--box", "20"]) == 3
     assert "requires a prime p > n (got p=6, n=4)" in capsys.readouterr().err
+    # p = 1 is rejected before any valuation at p (vp looped forever)
+    assert main(["verify", "--F=7,2,-5", "--h", "17", "--p", "1", "--box", "3"]) == 3
+    # hypothesis values must be integers
+    assert main(["bound", "--F", "1,0,0,0,1", "--h", "17",
+                 "--hypothesis", "mw_rank_value:x"]) == 3
+    assert main(["fermat", "check", "--A", "1", "--B", "1", "--C", "17", "--n", "4",
+                 "--p", "5", "--hypothesis", "mw_rank_value:x"]) == 3
+    assert "hypothesis value must be an integer" in capsys.readouterr().err
+    assert main(["bound", "--F", "1,0,0,0,1", "--h", "17",
+                 "--hypothesis", "mw_rank_value:-2"]) == 3
+
+
+def test_random_argv_exits_cleanly(capsys):
+    """Seeded random analyze/bound/verify calls, well-formed or not, end
+    with exit 0, 2 or 3 and never raise."""
+    rng = random.Random(20261018)
+    hypotheses = [
+        "chabauty_lt_g", "chabauty_lt_g:zz", "mw_rank_value:1", "mw_rank_value:x",
+        "mw_rank_value:-2", "mw_lt_threshold:3", "mw_lt_threshold:", "bogus:1",
+    ]
+    for _ in range(200):
+        n = rng.randint(2, 6)
+        coeffs = [rng.randint(-9, 9) for _ in range(n + 1)]
+        h = rng.choice([0, 1, -1, 17, 35, 77, 2 * 7**3, rng.randint(-500, 500)])
+        argv = [rng.choice(["analyze", "bound", "verify"]),
+                "--F=" + ",".join(map(str, coeffs)), "--h", str(h),
+                "--box", str(rng.randint(1, 20))]
+        if rng.random() < 0.5:
+            argv += ["--p", str(rng.choice([0, 1, 2, 4, 5, 6, 7, 11, -5]))]
+        if rng.random() < 0.5:
+            argv += ["--precision", str(rng.randint(1, 50))]
+        hypothesis = rng.choice(hypotheses) if rng.random() < 0.5 else None
+        if hypothesis:
+            argv += ["--hypothesis", hypothesis]
+        assert main(argv) in (0, 2, 3), argv
+    capsys.readouterr()
 
 
 def test_help_exits_zero(capsys):

@@ -96,6 +96,24 @@ def test_difference_valuations_sum_matches_discriminant():
         count += 1
 
 
+@given(
+    st.lists(st.integers(-12, 12), min_size=3, max_size=9),
+    st.integers(0, 2),
+    st.integers(-50, 50).filter(bool),
+    st.sampled_from([2, 3, 5, 7, 11, 13]),
+)
+@settings(max_examples=150, deadline=None)
+def test_default_precision_reads_discriminant_off_dstar(coeffs, k, h, p):
+    """default_precision takes v_p(disc(radical)) from d*; it must equal
+    the valuation of the radical's discriminant computed directly."""
+    coeffs[0] *= p**k  # make p | lc(radical) common
+    assume(any(coeffs))
+    inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), h * polyutil.content(coeffs))
+    disc = polyutil.discriminant(inst.shape.radical)
+    expected = polyutil.vp(inst.h, p) + (polyutil.vp(disc, p) if disc else 0) + 5
+    assert default_precision(inst, p) == expected
+
+
 def test_hensel_track_unramified_quadratic():
     sh = factor_shape(BinaryForm.from_coeffs([1, 0, -2]))
     tr = hensel_track_roots(sh, 7, 3)

@@ -1,0 +1,131 @@
+"""Properties of the dense sympy kernels in polyutil (discriminant,
+squarefree split, factorization mod p), each checked against an oracle
+that shares no code with the kernel: products of root differences,
+Sylvester determinants over Fraction and brute force over F_p."""
+
+from itertools import combinations
+from math import gcd, prod
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from helpers import sylvester_resultant
+from thuecc import polyutil
+
+PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
+
+
+def _trim(f):
+    f = list(f)
+    while f and f[-1] == 0:
+        f.pop()
+    return tuple(f)
+
+
+def _mul(f, g, m=None):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return _trim(c % m for c in out) if m else _trim(out)
+
+
+def _derivative(f):
+    return tuple(k * c for k, c in enumerate(f))[1:]
+
+
+def _value_mod(f, x, p):
+    return sum(c * pow(x, k, p) for k, c in enumerate(f)) % p
+
+
+def _root_multiplicity(f, r, p):
+    """How often (x - r) divides f over F_p, by repeated synthetic division."""
+    k = 0
+    while len(f) > 1 and _value_mod(f, r, p) == 0:
+        quotient, acc = [], 0
+        for c in reversed(f[1:]):
+            acc = (acc * r + c) % p
+            quotient.append(acc)
+        f = tuple(reversed(quotient))
+        k += 1
+    return k
+
+
+@st.composite
+def factored_polys(draw):
+    """c * prod g_i^e_i of degree 1..10, so repeated factors are common."""
+    f = (draw(st.integers(-6, 6).filter(bool)),)
+    for _ in range(draw(st.integers(1, 4))):
+        g = tuple(draw(st.lists(st.integers(-4, 4), min_size=2, max_size=4)))
+        if not _trim(g)[1:]:
+            continue
+        for _ in range(draw(st.integers(1, 3))):
+            f = _mul(f, _trim(g))
+    assume(2 <= len(f) <= 11)
+    return f
+
+
+@given(
+    st.integers(-5, 5).filter(bool),
+    st.lists(st.integers(-15, 15), min_size=1, max_size=10, unique=True),
+)
+@settings(max_examples=100, deadline=None)
+def test_discriminant_is_product_of_root_differences(lc, roots):
+    f = (lc,)
+    for a in roots:
+        f = _mul(f, (-a, 1))
+    n = len(roots)
+    expected = lc ** (2 * n - 2) * prod((a - b) ** 2 for a, b in combinations(roots, 2))
+    assert polyutil.discriminant(f) == expected
+
+
+@given(st.lists(st.integers(-20, 20), min_size=2, max_size=11).filter(lambda c: c[-1] != 0))
+@settings(max_examples=100, deadline=None)
+def test_discriminant_is_sylvester_resultant(f):
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
+    n = len(f) - 1
+    res = sylvester_resultant(f, _derivative(f))
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    assert res % f[-1] == 0
+    assert polyutil.discriminant(f) == sign * res // f[-1]
+
+
+@given(factored_polys())
+@settings(max_examples=100, deadline=None)
+def test_sqf_parts_properties(f):
+    parts = polyutil.sqf_parts(f)
+    ks = [k for k, _ in parts]
+    assert ks == sorted(set(ks)) and all(k >= 1 for k in ks)
+    product = (1,)
+    for k, w in parts:
+        assert len(w) >= 2 and w[-1] > 0 and gcd(*w) == 1
+        if len(w) > 2:
+            assert sylvester_resultant(w, _derivative(w)) != 0  # squarefree
+        for _ in range(k):
+            product = _mul(product, w)
+    for (_, v), (_, w) in combinations(parts, 2):
+        assert sylvester_resultant(v, w) != 0  # coprime
+    # f equals the product up to a rational unit
+    assert _mul(f, (product[-1],)) == _mul(product, (f[-1],))
+
+
+@given(factored_polys(), st.sampled_from(PRIMES))
+@settings(max_examples=150, deadline=None)
+def test_factor_mod_p_properties(f, p):
+    fp = _trim(c % p for c in f)
+    assume(fp)
+    factors = polyutil.factor_mod_p(f, p)
+    product = (1,)
+    for g, k in factors:
+        assert len(g) >= 2 and g[-1] == 1 and all(0 <= c < p for c in g) and k >= 1
+        for _ in range(k):
+            product = _mul(product, g, p)
+    lc_inv = pow(fp[-1], -1, p)
+    assert product == _trim(c * lc_inv % p for c in fp)
+    # linear factors are the F_p roots with their multiplicities
+    linear = sorted((-g[0] % p, k) for g, k in factors if len(g) == 2)
+    roots = [r for r in range(p) if _value_mod(fp, r, p) == 0]
+    assert linear == [(r, _root_multiplicity(fp, r, p)) for r in roots]
+    for g, _ in factors:
+        if len(g) > 2:
+            assert all(_value_mod(g, r, p) for r in range(p))
