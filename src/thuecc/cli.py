@@ -122,7 +122,7 @@ def _analyze_row(instance: ThueInstance, p_override: int | None) -> dict:
     p0 = bnd.bertrand_prime(n)
     row["bertrand_prime"] = p0
     row["case_at_bertrand"] = bnd.classify_prime(instance, p0).case_tag
-    if p_override:
+    if p_override is not None:
         row["case_at_override"] = bnd.classify_prime(instance, p_override).case_tag
     return row
 
@@ -142,7 +142,7 @@ def cmd_bound(args) -> tuple[dict, int]:
                 {"instance": inst.instance_id(), "error": "reducible model"}
             )
             continue
-        p = args.p or bnd.bertrand_prime(inst.n)
+        p = args.p if args.p is not None else bnd.bertrand_prime(inst.n)
         reports = [bnd.main_bounds(inst, p, hyp)] + bnd.refined_bounds(inst, hyp)
         rows.append(
             {
@@ -192,7 +192,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             rows.append({"instance": inst.instance_id(), "error": "reducible model"})
             continue
         n = inst.n
-        p = args.p or bnd.bertrand_prime(n)
+        p = args.p if args.p is not None else bnd.bertrand_prime(n)
         # main_bounds rejects a bad p before any valuation at p is taken
         report = bnd.main_bounds(inst, p, hyp)
         box = args.box if args.box is not None else en.default_box(n).bound

@@ -8,9 +8,10 @@ discards no solution: a true solution satisfies the congruence at every
 modulus, and every surviving candidate is verified with exact integer
 arithmetic.  Both strategies are exposed so they can be cross-checked.
 
-Every evaluation of a binary form over F_q^2 (the sieve tables, the
+Every evaluation of a binary form over F_q (the sieve tables, the
 affine and projective point counts, the chart fibers) goes through one
-kernel, root_table, which returns the roots in y for every x mod q.
+Horner sweep of F(1, t), _value_buckets; root_table builds from it the
+roots in y for every x mod q.
 """
 
 from __future__ import annotations
@@ -114,19 +115,25 @@ def root_table(coeffs, h: int, q: int) -> list[list[int]]:
     Row 0 solves coeffs[n] y^n = h directly.
     """
     n = len(coeffs) - 1
-    cs = [c % q for c in reversed(coeffs)]
+    buckets = _value_buckets(coeffs, q)
     target = h % q
+    table = [[y for y in range(q) if (coeffs[-1] * pow(y, n, q) - target) % q == 0]]
+    for x in range(1, q):
+        ts = buckets.get(target * pow(x, -n, q) % q, ())
+        table.append(sorted(x * t % q for t in ts))
+    return table
+
+
+def _value_buckets(coeffs, q: int) -> dict[int, list[int]]:
+    """The t in F_q, ascending, grouped by the value F(1, t) mod q."""
+    cs = [c % q for c in reversed(coeffs)]
     buckets: dict[int, list[int]] = {}
     for t in range(q):
         acc = 0
         for c in cs:
             acc = (acc * t + c) % q
         buckets.setdefault(acc, []).append(t)
-    table = [[y for y in range(q) if (cs[0] * pow(y, n, q) - target) % q == 0]]
-    for x in range(1, q):
-        ts = buckets.get(target * pow(x, -n, q) % q, ())
-        table.append(sorted(x * t % q for t in ts))
-    return table
+    return buckets
 
 
 def primitive_solutions(
@@ -169,7 +176,7 @@ def count_projective_smooth(instance: ThueInstance, p: int) -> int:
     # points at infinity: z = 0, F(x,y) = 0 on the projective line, as
     # (1:y) for y in F_p plus (0:1) when F(0,1) = 0
     coeffs = instance.form.coeffs
-    count += len(root_table(coeffs, 0, p)[1])
+    count += len(_value_buckets(coeffs, p).get(0, ()))
     if coeffs[-1] % p == 0:
         count += 1
     g = instance.genus

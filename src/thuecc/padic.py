@@ -8,8 +8,9 @@ point enters any finite value.
 Three layers live here:
 
 * Newton polygons of integer polynomials, giving root valuations with
-  multiplicity, and the resolvent-based multiset of pairwise root
-  differences v(alpha_i - alpha_j).
+  multiplicity, and the multiset of pairwise root differences
+  v(alpha_i - alpha_j), read off the Newton polygon of the resolvent
+  Res_y(f0(y), f0(x+y)), a dense resultant over ZZ[x][y].
 * Hensel-lifted root tracking in unramified extensions: roots of the
   squarefree parts of F(x,1) are carried either exactly (rational
   roots), as integers mod p^N (Z_p roots of higher-degree rational
@@ -26,8 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import sympy
-from sympy import ZZ, Poly, Symbol
+from sympy import ZZ
 from sympy.polys.factortools import dup_factor_list, dup_zz_hensel_lift
 
 from thuecc import polyutil
@@ -37,9 +37,6 @@ from thuecc.polyutil import IntPoly, poly_mod, vp
 INF = float("inf")
 
 Val = Fraction | float  # finite valuations are Fractions; INF only for 0
-
-_X = Symbol("x")
-_Y = Symbol("y")
 
 
 class RamifiedCase(ValueError):
@@ -119,15 +116,14 @@ def difference_valuations(shape: FormShape, p: int) -> list[tuple[Fraction, int]
     """Multiset {v(alpha_i - alpha_j) : i != j} over the distinct roots.
 
     Computed as the root valuations of the resolvent
-    Res_y(f0(y), f0(x+y)) / x^s where f0 is the squarefree part; the sum
-    of the multiset equals v_p(d*(F)/c).
+    Res_y(f0(y), f0(x+y)) / x^s where f0 is the squarefree part, taken
+    as a dense resultant by polyutil.difference_resolvent; the sum of
+    the multiset equals v_p(d*(F)/c).
     """
     s = shape.s
     if s < 2:
         raise ValueError("difference valuations need at least two distinct roots")
-    f0 = Poly(list(reversed(shape.radical)), _X).as_expr()
-    res = sympy.resultant(f0.subs(_X, _Y), f0.subs(_X, _X + _Y), _Y)
-    rpoly = polyutil.from_sympy(Poly(res, _X))
+    rpoly = polyutil.difference_resolvent(shape.radical)
     if rpoly[s] == 0:
         raise ValueError("resolvent divisible by x^(s+1): radical was not squarefree")
     vals = root_valuations(rpoly[s:], p)

@@ -2,22 +2,24 @@
 
 Univariate integer polynomials are plain tuples of coefficients in
 *ascending* order: ``poly[k]`` is the coefficient of x^k.  The zero
-polynomial is the empty tuple.  Discriminants, squarefree decomposition
-and factorization mod p call sympy's dense ``dup_*``/``gf_*`` kernels on
-the descending list ``to_dense(f)``, with no ``Poly`` or expression.
+polynomial is the empty tuple.  Every sympy call in the package is
+either a dense ``dup_*``/``dmp_*``/``gf_*`` kernel on descending
+coefficient lists such as ``to_dense(f)`` (discriminants, the difference
+resolvent, squarefree decomposition, factorization over Q and mod p,
+Hensel lifting) or an integer function (``isprime``, ``nextprime``,
+``primefactors``, ``totient``, ``primitive_root``, ``integer_nthroot``);
+no ``Poly`` or expression is built anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
-from sympy import ZZ, Poly, Symbol
-from sympy.polys.euclidtools import dup_discriminant
+from sympy import ZZ
+from sympy.polys.euclidtools import dmp_resultant, dup_discriminant
 from sympy.polys.galoistools import gf_factor, gf_from_int_poly
 from sympy.polys.sqfreetools import dup_sqf_list
-
-_X = Symbol("x")
 
 IntPoly = tuple[int, ...]
 
@@ -33,18 +35,6 @@ def trim(coeffs) -> IntPoly:
 def degree(f: IntPoly) -> int:
     """Degree of f; -1 for the zero polynomial."""
     return len(trim(f)) - 1
-
-
-def evaluate(f, x: int) -> int:
-    """Horner evaluation at an integer point."""
-    acc = 0
-    for c in reversed(f):
-        acc = acc * x + c
-    return acc
-
-
-def derivative(f) -> IntPoly:
-    return trim(tuple(k * c for k, c in enumerate(f) if k >= 1))
 
 
 def add(f, g) -> IntPoly:
@@ -148,14 +138,6 @@ def from_dense(coeffs) -> IntPoly:
     return trim(tuple(int(c) for c in reversed(coeffs)))
 
 
-def to_sympy(f) -> Poly:
-    return Poly(to_dense(f) or [0], _X)
-
-
-def from_sympy(poly: Poly) -> IntPoly:
-    return from_dense(poly.all_coeffs())
-
-
 def sqf_parts(f) -> list[tuple[int, IntPoly]]:
     """Squarefree decomposition f = unit * prod w_k^k over Q.
 
@@ -170,6 +152,20 @@ def sqf_parts(f) -> list[tuple[int, IntPoly]]:
 
 def discriminant(f) -> int:
     return int(dup_discriminant(to_dense(f), ZZ))
+
+
+def difference_resolvent(f) -> IntPoly:
+    """Res_y(f(y), f(x+y)) as a polynomial in x, from sympy's dense
+    resultant over ZZ[x][y].  Its roots are the differences of the roots
+    of f, each ordered pair once.
+
+    The y^j coefficient of f(x+y) is sum_k f_k C(k,j) x^(k-j).
+    """
+    f = trim(f)
+    n = len(f) - 1
+    fy = [[c] if c else [] for c in reversed(f)]
+    fxy = [[f[j + d] * comb(j + d, j) for d in range(n - j, -1, -1)] for j in range(n, -1, -1)]
+    return from_dense(dmp_resultant(fy, fxy, 1, ZZ))
 
 
 def factor_mod_p(f, p: int) -> list[tuple[IntPoly, int]]:

@@ -1,11 +1,13 @@
 """Shared test utilities: random instance generators and independent
 oracles (brute-force Z_p root counting, partition enumeration, Sylvester
-resultants)."""
+resultants, products over root differences, factoring over Q)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+
+import sympy
 
 from thuecc import polyutil
 from thuecc.enumerate import _product_form_coeffs
@@ -96,6 +98,18 @@ def realize_series(seq: CoeffValuationSeq, rng):
     return polyutil.trim(tuple(coeffs))
 
 
+def evaluate(f, x: int) -> int:
+    """Horner evaluation of an ascending integer polynomial."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def derivative(f) -> tuple[int, ...]:
+    return polyutil.trim(tuple(k * c for k, c in enumerate(f) if k >= 1))
+
+
 def certified_zp_roots(f, p: int, depth: int = 6) -> tuple[int, int]:
     """(certified, ambiguous): distinct Z_p roots certified by Hensel
     refinement down to the given depth, plus the residue classes left
@@ -105,13 +119,13 @@ def certified_zp_roots(f, p: int, depth: int = 6) -> tuple[int, int]:
         raise ValueError("zero polynomial")
     mv = min(polyutil.vp(c, p) for c in f if c != 0)
     f = tuple(c // p**mv for c in f)
-    fd = polyutil.derivative(f)
+    fd = derivative(f)
     certified = 0
     ambiguous = 0
     for r in range(p):
-        if polyutil.evaluate(f, r) % p != 0:
+        if evaluate(f, r) % p != 0:
             continue
-        if polyutil.evaluate(fd, r) % p != 0:
+        if evaluate(fd, r) % p != 0:
             certified += 1
         elif depth > 0:
             c, a = certified_zp_roots(polyutil.compose_linear(f, r, p), p, depth - 1)
@@ -161,3 +175,22 @@ def sylvester_resultant(f, g) -> int:
                     a[r][k] -= ratio * a[col][k]
     assert det.denominator == 1
     return int(det)
+
+
+def difference_product(lead: int, roots) -> tuple[int, ...]:
+    """lead^(2s) prod_{i,j} (x - (a_i - a_j)) over ordered pairs of the s
+    given roots, i = j included, expanded one linear factor at a time."""
+    out = [lead ** (2 * len(roots))]
+    for a in roots:
+        for b in roots:
+            d = a - b
+            # multiply by (x - d): shift up and subtract d times the old list
+            out = [-d * out[0]] + [out[k - 1] - d * out[k] for k in range(1, len(out))] + [out[-1]]
+    return tuple(out)
+
+
+def rational_factors(f) -> list[tuple[int, ...]]:
+    """Irreducible factors over Q of an ascending integer polynomial, each
+    as an ascending tuple, from sympy's ``Poly.factor_list``."""
+    _, factors = sympy.Poly(list(reversed(f)), sympy.Symbol("x")).factor_list()
+    return [tuple(int(c) for c in reversed(q.all_coeffs())) for q, _ in factors]

@@ -172,6 +172,10 @@ def test_input_errors(tmp_path, capsys):
     assert "requires a prime p > n (got p=6, n=4)" in capsys.readouterr().err
     # p = 1 is rejected before any valuation at p (vp looped forever)
     assert main(["verify", "--F=7,2,-5", "--h", "17", "--p", "1", "--box", "3"]) == 3
+    # p = 0 is a non-prime like any other, not "no --p given"
+    assert main(["analyze", "--F", "1,0,0,0,1", "--h", "17", "--p", "0"]) == 3
+    assert main(["bound", "--F", "1,0,0,0,1", "--h", "17", "--p", "0"]) == 3
+    assert main(["verify", "--F", "1,0,0,0,1", "--h", "17", "--p", "0"]) == 3
     # hypothesis values must be integers
     assert main(["bound", "--F", "1,0,0,0,1", "--h", "17",
                  "--hypothesis", "mw_rank_value:x"]) == 3
@@ -184,7 +188,7 @@ def test_input_errors(tmp_path, capsys):
 
 def test_random_argv_exits_cleanly(capsys):
     """Seeded random analyze/bound/verify calls, well-formed or not, end
-    with exit 0, 2 or 3 and never raise."""
+    with exit 0, 2 or 3 and never raise; a non-prime --p always exits 3."""
     rng = random.Random(20261018)
     hypotheses = [
         "chabauty_lt_g", "chabauty_lt_g:zz", "mw_rank_value:1", "mw_rank_value:x",
@@ -197,14 +201,19 @@ def test_random_argv_exits_cleanly(capsys):
         argv = [rng.choice(["analyze", "bound", "verify"]),
                 "--F=" + ",".join(map(str, coeffs)), "--h", str(h),
                 "--box", str(rng.randint(1, 20))]
+        p = None
         if rng.random() < 0.5:
-            argv += ["--p", str(rng.choice([0, 1, 2, 4, 5, 6, 7, 11, -5]))]
+            p = rng.choice([0, 1, 2, 4, 5, 6, 7, 11, -5])
+            argv += ["--p", str(p)]
         if rng.random() < 0.5:
             argv += ["--precision", str(rng.randint(1, 50))]
         hypothesis = rng.choice(hypotheses) if rng.random() < 0.5 else None
         if hypothesis:
             argv += ["--hypothesis", hypothesis]
-        assert main(argv) in (0, 2, 3), argv
+        code = main(argv)
+        assert code in (0, 2, 3), argv
+        if p in (0, 1, 4, 6, -5):
+            assert code == 3, argv
     capsys.readouterr()
 
 

@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import product_form, random_tracked_instance
+from helpers import evaluate, product_form, random_tracked_instance, rational_factors
 from thuecc import polyutil
 from thuecc.enumerate import primitive_solutions
 from thuecc.forms import BinaryForm, FormShape, ThueInstance, factor_shape, monicize
@@ -97,6 +99,35 @@ def test_difference_valuations_sum_matches_discriminant():
 
 
 @given(
+    st.lists(st.tuples(st.integers(-9, 9), st.sampled_from([1, 2, 3, 5, 7])), max_size=4),
+    st.lists(st.integers(-9, 9), min_size=2, max_size=3),
+    st.sampled_from([5, 7, 11, 13]),
+)
+@settings(max_examples=30, deadline=None)
+def test_tracked_differences_match_resolvent(linear, tail, p):
+    """Where every root is tracked in Z_p (rational or Hensel-lifted), the
+    pairwise v(alpha_i - alpha_j) of the tracked roots are the multiset
+    difference_valuations reads off the resolvent."""
+    f = tuple(tail) + (1,)  # monic, degree 2..3: its roots are lifted or inert
+    for a, b in linear:
+        f = polyutil.mul(f, (-a, b))  # rational root a/b, p | b allowed
+    assume((len(f) - 1) % p != 0)
+    form = BinaryForm.from_coeffs(list(reversed(f)))
+    inst = ThueInstance.build(form, polyutil.content(f))
+    assume(inst.shape.s >= 2)
+    try:
+        tracked = hensel_track_roots(inst.shape, p, default_precision(inst, p))
+    except RamifiedCase:
+        assume(False)
+    assume(all(r.kind in ("rational", "lifted") for r in tracked.roots))
+    got = Counter(tracked.root_difference(r, q) for r, q in permutations(tracked.roots, 2))
+    expected = Counter()
+    for v, m in difference_valuations(inst.shape, p):
+        expected[v] += m
+    assert got == expected
+
+
+@given(
     st.lists(st.integers(-12, 12), min_size=3, max_size=9),
     st.integers(0, 2),
     st.integers(-50, 50).filter(bool),
@@ -160,7 +191,7 @@ def test_hensel_lifted_roots_satisfy_minpoly():
             continue
         for r in tr.roots:
             if r.kind == "lifted":
-                val = polyutil.evaluate(r.minpoly, r.approx)
+                val = evaluate(r.minpoly, r.approx)
                 assert val % p**prec == 0
             elif r.kind == "inert":
                 # the lifted factor divides its minimal polynomial mod p^prec
@@ -192,9 +223,7 @@ def test_hensel_lift_properties(lead, sign, tail, p, N):
     for r in tracked.roots:
         if r.kind != "rational":
             lifts.setdefault(r.minpoly, []).append(r.factor)
-    _, factors = polyutil.to_sympy(form.dehomogenized()).factor_list()
-    for q, _ in factors:
-        q = polyutil.from_sympy(q)
+    for q in rational_factors(form.dehomogenized()):
         if polyutil.degree(q) < 2 or q[-1] % p == 0:
             continue
         modular = polyutil.factor_mod_p(q, p)
@@ -217,7 +246,7 @@ def test_tracked_residue():
     assert sorted(r.kind for r in tr.roots) == ["lifted", "lifted", "rational"]
     for r in tr.roots:
         res = tr.residue(r)
-        assert polyutil.evaluate(r.minpoly, res) % 343 == 0
+        assert evaluate(r.minpoly, res) % 343 == 0
     # 1/7 is not 7-integral, and x^2 + x + 1 is inert at 5
     tr = hensel_track_roots(factor_shape(BinaryForm.from_coeffs([7, -1])), 7, 2)
     with pytest.raises(ValueError):

@@ -1,16 +1,20 @@
 """Properties of the dense sympy kernels in polyutil (discriminant,
-squarefree split, factorization mod p), each checked against an oracle
-that shares no code with the kernel: products of root differences,
-Sylvester determinants over Fraction and brute force over F_p."""
+difference resolvent, squarefree split, factorization mod p), each
+checked against an oracle that shares no code with the kernel: products
+of root differences, Sylvester determinants over Fraction and brute
+force over F_p."""
 
-from itertools import combinations
+from collections import Counter
+from itertools import combinations, permutations
 from math import gcd, prod
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import sylvester_resultant
+from helpers import derivative, difference_product, sylvester_resultant
 from thuecc import polyutil
+from thuecc.forms import FormShape
+from thuecc.padic import difference_valuations
 
 PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31]
 
@@ -28,10 +32,6 @@ def _mul(f, g, m=None):
         for j, b in enumerate(g):
             out[i + j] += a * b
     return _trim(c % m for c in out) if m else _trim(out)
-
-
-def _derivative(f):
-    return tuple(k * c for k, c in enumerate(f))[1:]
 
 
 def _value_mod(f, x, p):
@@ -79,12 +79,42 @@ def test_discriminant_is_product_of_root_differences(lc, roots):
     assert polyutil.discriminant(f) == expected
 
 
+@st.composite
+def distinct_roots(draw):
+    """1 to 10 distinct integers; the size is drawn first, so that the
+    costly degrees near 10 come no more often than the others."""
+    n = draw(st.integers(1, 10))
+    return draw(st.lists(st.integers(-15, 15), min_size=n, max_size=n, unique=True))
+
+
+@given(
+    st.one_of(st.sampled_from([-1, 1]), st.integers(-12, 12).filter(lambda c: abs(c) > 1)),
+    distinct_roots(),
+    st.sampled_from(PRIMES),
+)
+@settings(max_examples=20, deadline=None)
+def test_difference_resolvent_is_product_of_root_differences(lc, roots, p):
+    """Res_y(f(y), f(x+y)) = lc^(2s) prod_{i,j} (x - (a_i - a_j)), and the
+    difference valuations are the v_p(a_i - a_j) over i != j."""
+    f = (lc,)
+    for a in roots:
+        f = _mul(f, (-a, 1))
+    assert polyutil.difference_resolvent(f) == difference_product(lc, roots)
+    if len(roots) >= 2:
+        shape = FormShape(len(roots), (1,) * len(roots), lc, f, 0)
+        got = Counter()
+        for v, m in difference_valuations(shape, p):
+            got[v] += m
+        expected = Counter(polyutil.vp(a - b, p) for a, b in permutations(roots, 2))
+        assert got == expected
+
+
 @given(st.lists(st.integers(-20, 20), min_size=2, max_size=11).filter(lambda c: c[-1] != 0))
 @settings(max_examples=100, deadline=None)
 def test_discriminant_is_sylvester_resultant(f):
     """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f)."""
     n = len(f) - 1
-    res = sylvester_resultant(f, _derivative(f))
+    res = sylvester_resultant(f, derivative(f))
     sign = -1 if (n * (n - 1) // 2) % 2 else 1
     assert res % f[-1] == 0
     assert polyutil.discriminant(f) == sign * res // f[-1]
@@ -100,7 +130,7 @@ def test_sqf_parts_properties(f):
     for k, w in parts:
         assert len(w) >= 2 and w[-1] > 0 and gcd(*w) == 1
         if len(w) > 2:
-            assert sylvester_resultant(w, _derivative(w)) != 0  # squarefree
+            assert sylvester_resultant(w, derivative(w)) != 0  # squarefree
         for _ in range(k):
             product = _mul(product, w)
     for (_, v), (_, w) in combinations(parts, 2):
