@@ -257,7 +257,7 @@ def main_bounds(
     gb = global_bound(n)
     if cb > gb:
         raise AssertionError(f"case bound {cb} exceeds global bound {gb}")
-    lhs = Fraction((2 * g - 2) * (p - 1), p - 2)
+    lhs = chabauty_residue_bound(g, p, 0)
     if lhs > 2 * g + s - 5:
         notes.append(
             f"majorization violated: (2g-2)(p-1)/(p-2) = {lhs} > 2g+s-5 = {2 * g + s - 5}"

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import lcm
 
 from thuecc import polyutil
-from thuecc.enumerate import root_table
+from thuecc.enumerate import affine_point_count
 from thuecc.padic import INF, SolutionValuationProfile, TrackedRoots, Val
 
 SELF = -1  # member reference for the chosen root's own factor (gamma = 0)
@@ -378,4 +378,4 @@ def fiber_affine_points(fiber: SpecialFiberShape, p: int) -> int:
     # form of degree n = d + c whose u^k y^(n-k) coefficient is unit * f[k]
     coeffs = [0] * fiber.cofactor_exponent
     coeffs += [fiber.unit * c for c in reversed(fiber.fiber_poly)]
-    return sum(map(len, root_table(coeffs, fiber.mu, p)))
+    return affine_point_count(coeffs, fiber.mu, p)

@@ -1,17 +1,17 @@
 """Brute-force oracles: box enumeration and finite-field point counts.
 
 The box search is the ground truth everything else is checked against:
-it scans every coprime pair with max(|x|, |y|) <= B.  Above a small box
-the scan goes through an exact residue prefilter (two prime moduli whose
+it finds every coprime pair with max(|x|, |y|) <= B and F(x, y) = h.
+Every box goes through one exact residue sieve (two prime moduli whose
 product exceeds the box diameter, combined by CRT), which provably
 discards no solution: a true solution satisfies the congruence at every
 modulus, and every surviving candidate is verified with exact integer
-arithmetic.  Both strategies are exposed so they can be cross-checked.
+arithmetic.
 
 Every evaluation of a binary form over F_q (the sieve tables, the
 affine and projective point counts, the chart fibers) goes through one
-Horner sweep of F(1, t), _value_buckets; root_table builds from it the
-roots in y for every x mod q.
+Horner sweep of F(1, t), _value_buckets; _rows reads from it the roots
+in y for every x mod q, which root_table sorts and the counts only sum.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from thuecc import polyutil
 from thuecc.forms import BinaryForm, ThueInstance
 from thuecc.padic import TrackedRoots, solution_valuations
 from thuecc.polyutil import vp
-
-_PLAIN_SCAN_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -54,23 +52,13 @@ class SolutionSet:
 
 
 def scan_stripe(
-    instance: ThueInstance, box: int, x_lo: int, x_hi: int, strategy: str = "auto"
+    instance: ThueInstance, box: int, x_lo: int, x_hi: int
 ) -> list[tuple[int, int]]:
     """Primitive solutions with x in [x_lo, x_hi] and |y| <= box, in
-    lexicographic order.  Strategies "plain" and "filtered" agree; auto
-    picks by box size."""
-    if strategy == "auto":
-        strategy = "plain" if box <= _PLAIN_SCAN_LIMIT else "filtered"
+    lexicographic order.  For each x only the y that are roots of F(x, y)
+    = h both mod q1 and mod q2 (q1 q2 > 2 box + 1) are tested exactly."""
     form, h = instance.form, instance.h
     out: list[tuple[int, int]] = []
-    if strategy == "plain":
-        for x in range(x_lo, x_hi + 1):
-            for y in range(-box, box + 1):
-                if gcd(x, y) == 1 and form(x, y) == h:
-                    out.append((x, y))
-        return out
-    if strategy != "filtered":
-        raise ValueError(f"unknown strategy {strategy!r}")
     q1, q2 = _filter_primes(h, box)
     t1 = root_table(form.coeffs, h, q1)
     t2 = root_table(form.coeffs, h, q2)
@@ -108,20 +96,30 @@ def _filter_primes(h: int, box: int) -> tuple[int, int]:
 
 def root_table(coeffs, h: int, q: int) -> list[list[int]]:
     """Row x in F_q (q prime): the y, ascending, with sum_i coeffs[i]
-    x^(n-i) y^i = h mod q, coeffs in BinaryForm order.
+    x^(n-i) y^i = h mod q, coeffs in BinaryForm order."""
+    rows = _rows(coeffs, h, q, _value_buckets(coeffs, q))
+    table = [next(rows)]
+    table += [sorted(x * t % q for t in ts) for x, ts in enumerate(rows, 1)]
+    return table
 
-    For x != 0, F(x, x t) = x^n f(t) with f(t) = F(1, t), so one Horner
-    sweep of f bucketed by value gives row x as x * bucket[h x^(-n)].
-    Row 0 solves coeffs[n] y^n = h directly.
+
+def affine_point_count(coeffs, h: int, q: int) -> int:
+    """Number of (x, y) in F_q^2 with sum_i coeffs[i] x^(n-i) y^i = h mod q."""
+    return sum(map(len, _rows(coeffs, h, q, _value_buckets(coeffs, q))))
+
+
+def _rows(coeffs, h: int, q: int, buckets):
+    """The rows of root_table, unsorted, for x = 0, 1, ..., q - 1.
+
+    Row 0 solves coeffs[n] y^n = h directly.  For x != 0, F(x, x t) =
+    x^n f(t) with f(t) = F(1, t), so the bucket of f-values h x^(-n)
+    holds the t with row x = x * t; it is yielded unscaled.
     """
     n = len(coeffs) - 1
-    buckets = _value_buckets(coeffs, q)
     target = h % q
-    table = [[y for y in range(q) if (coeffs[-1] * pow(y, n, q) - target) % q == 0]]
+    yield [y for y in range(q) if (coeffs[-1] * pow(y, n, q) - target) % q == 0]
     for x in range(1, q):
-        ts = buckets.get(target * pow(x, -n, q) % q, ())
-        table.append(sorted(x * t % q for t in ts))
-    return table
+        yield buckets.get(target * pow(x, -n, q) % q, ())
 
 
 def _value_buckets(coeffs, q: int) -> dict[int, list[int]]:
@@ -136,15 +134,11 @@ def _value_buckets(coeffs, q: int) -> dict[int, list[int]]:
     return buckets
 
 
-def primitive_solutions(
-    instance: ThueInstance,
-    box: SearchBox | int,
-    strategy: str = "auto",
-) -> SolutionSet:
+def primitive_solutions(instance: ThueInstance, box: SearchBox | int) -> SolutionSet:
     """Exhaustive primitive-solution scan over max(|x|,|y|) <= B, in
     lexicographic order."""
     b = (box if isinstance(box, SearchBox) else SearchBox(int(box))).bound
-    sols = scan_stripe(instance, b, -b, b, strategy)
+    sols = scan_stripe(instance, b, -b, b)
     return SolutionSet(instance.instance_id(), tuple(sols), b)
 
 
@@ -154,7 +148,7 @@ def primitive_solutions(
 
 def count_affine_points_mod_p(instance: ThueInstance, p: int) -> int:
     """Number of (x, y) in F_p^2 with F(x,y) = h mod p."""
-    return sum(map(len, root_table(instance.form.coeffs, instance.h, p)))
+    return affine_point_count(instance.form.coeffs, instance.h, p)
 
 
 def count_projective_smooth(instance: ThueInstance, p: int) -> int:
@@ -172,11 +166,13 @@ def count_projective_smooth(instance: ThueInstance, p: int) -> int:
             "smooth count requires p coprime to h*d*(F); "
             "use projection_point_bound instead"
         )
-    count = count_affine_points_mod_p(instance, p)
-    # points at infinity: z = 0, F(x,y) = 0 on the projective line, as
-    # (1:y) for y in F_p plus (0:1) when F(0,1) = 0
+    # one sweep of F(1, t) gives the affine points and the points at
+    # infinity: z = 0, F(x,y) = 0 on the projective line, as (1:y) for
+    # y in F_p plus (0:1) when F(0,1) = 0
     coeffs = instance.form.coeffs
-    count += len(_value_buckets(coeffs, p).get(0, ()))
+    buckets = _value_buckets(coeffs, p)
+    count = sum(map(len, _rows(coeffs, instance.h, p, buckets)))
+    count += len(buckets.get(0, ()))
     if coeffs[-1] % p == 0:
         count += 1
     g = instance.genus

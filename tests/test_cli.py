@@ -187,8 +187,9 @@ def test_input_errors(tmp_path, capsys):
 
 
 def test_random_argv_exits_cleanly(capsys):
-    """Seeded random analyze/bound/verify calls, well-formed or not, end
-    with exit 0, 2 or 3 and never raise; a non-prime --p always exits 3."""
+    """Seeded random analyze/bound/verify and fermat calls, well-formed or
+    not, end with exit 0, 2 or 3 and never raise; a non-prime --p of
+    analyze/bound/verify always exits 3."""
     rng = random.Random(20261018)
     hypotheses = [
         "chabauty_lt_g", "chabauty_lt_g:zz", "mw_rank_value:1", "mw_rank_value:x",
@@ -214,6 +215,26 @@ def test_random_argv_exits_cleanly(capsys):
         assert code in (0, 2, 3), argv
         if p in (0, 1, 4, 6, -5):
             assert code == 3, argv
+    # fermat verbs: malformed triples, n and p outside their range
+    triples = ["1,2,1", "2,1,1", "1,1,1", "0,0,0", "3,-2,5", "1,2", "1,2,3,4",
+               "a,b,c", "", "1,,2"]
+    for _ in range(300):
+        verb = rng.choice(["construct", "check", "orbit"])
+        n = rng.choice([-1, 0, 1, 2, 4, 7])
+        argv = ["fermat", verb, f"--n={n}"]
+        if verb == "construct":
+            argv += ["--t1=" + rng.choice(triples), "--t2=" + rng.choice(triples)]
+        elif verb == "orbit":
+            argv += ["--t=" + rng.choice(triples)]
+            if rng.random() < 0.5:
+                argv.append("--symmetric")
+        else:
+            argv += [f"--{k}={rng.randint(-3, 9)}" for k in "ABC"]
+            p = n + 1 if rng.random() < 0.3 else rng.choice([0, 1, 4, 8, -5])
+            argv += [f"--p={p}", "--box", str(rng.randint(1, 8))]
+            if rng.random() < 0.5:
+                argv += ["--hypothesis", rng.choice(hypotheses)]
+        assert main(argv) in (0, 2, 3), argv
     capsys.readouterr()
 
 

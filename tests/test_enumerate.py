@@ -11,6 +11,7 @@ from thuecc import polyutil
 from thuecc.bounds import classify_prime
 from thuecc.enumerate import (
     SearchBox,
+    affine_point_count,
     classify_p_integral_points,
     count_affine_points_mod_p,
     count_projective_smooth,
@@ -22,7 +23,7 @@ from thuecc.enumerate import (
     root_table,
     scan_stripe,
 )
-from thuecc.forms import BinaryForm, ThueInstance
+from thuecc.forms import BinaryForm, FormError, ThueInstance
 from thuecc.padic import default_precision, hensel_track_roots
 
 
@@ -64,6 +65,7 @@ def test_monotone_in_box():
 
 
 def test_filtered_strategy_matches_plain():
+    # the CRT sieve against the plain double loop at box 300
     rng = random.Random(13)
     for _ in range(8):
         n = rng.randint(3, 5)
@@ -75,9 +77,37 @@ def test_filtered_strategy_matches_plain():
             inst = ThueInstance.build(form, h)
         except Exception:
             continue
-        plain = primitive_solutions(inst, 300, strategy="plain")
-        fast = primitive_solutions(inst, 300, strategy="filtered")
-        assert plain.solutions == fast.solutions
+        assert primitive_solutions(inst, 300).solutions == tuple(brute_solutions(inst, 300))
+
+
+@st.composite
+def box_cases(draw):
+    """(coeffs, h, box) with c_0 = 0, c_n = 0, h < 0 and 2*3*5*7 | h all
+    reachable, so that _filter_primes skips primes dividing h, and box 1
+    sieves with q1 = 2 when h is odd."""
+    n = draw(st.integers(1, 8))
+    coeff = st.one_of(st.just(0), st.integers(-9, 9))
+    coeffs = draw(st.lists(coeff, min_size=n + 1, max_size=n + 1))
+    assume(any(coeffs))
+    if draw(st.booleans()):
+        # a value of the form, so that the box holds solutions
+        x, y = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
+        h = sum(c * x ** (n - i) * y**i for i, c in enumerate(coeffs))
+    else:
+        h = draw(st.integers(-60, 60)) * draw(st.sampled_from([1, 2, 3, 5, 7, 210]))
+    assume(h != 0)
+    return coeffs, h, draw(st.integers(1, 30))
+
+
+@given(box_cases())
+@settings(max_examples=120, deadline=None)
+def test_sieve_matches_brute_property(case):
+    coeffs, h, box = case
+    try:
+        inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), h)
+    except FormError:
+        assume(False)
+    assert primitive_solutions(inst, box).solutions == tuple(brute_solutions(inst, box))
 
 
 def test_stripes_merge_deterministically():
@@ -231,6 +261,7 @@ def test_root_table_matches_brute_double_loop(case):
     n = len(coeffs) - 1
     table = root_table(coeffs, h, q)
     assert len(table) == q
+    count = 0
     for x in range(q):
         row = [
             y
@@ -238,6 +269,8 @@ def test_root_table_matches_brute_double_loop(case):
             if (sum(c * x ** (n - i) * y**i for i, c in enumerate(coeffs)) - h) % q == 0
         ]
         assert table[x] == row
+        count += len(row)
+    assert affine_point_count(coeffs, h, q) == count
 
 
 @given(
