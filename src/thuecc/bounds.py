@@ -314,7 +314,7 @@ def refined_bounds_prime_degree(
 
 
 def refined_bounds_degree_pm1(
-    p: int, case: PrimeCase, hypothesis: RankHypothesis | None, s: int | None = None
+    p: int, case: PrimeCase, hypothesis: RankHypothesis | None, s: int
 ) -> BoundReport:
     """Bounds for degree n = p - 1 at the prime p >= 5.
 
@@ -334,7 +334,7 @@ def refined_bounds_degree_pm1(
         if hypothesis.kind == "chabauty_lt_g":
             conditional = False
             route = "chabauty over cyclotomic field asserted"
-        elif s is not None and hypothesis.implies_mw_lt(rank_threshold(s)):
+        elif hypothesis.implies_mw_lt(rank_threshold(s)):
             conditional = False
             route = f"MW rank over Q < (s-2)/2 = {rank_threshold(s)}"
     entries: list[BoundEntry] = []

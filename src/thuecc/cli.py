@@ -4,14 +4,15 @@ Subcommands:
 
 * analyze: factorization shape, genus, d*, irreducibility, prime case.
 * bound:   every applicable bound with its hypothesis flags.
-* verify:  enumeration plus all checkable identities; nonzero exit on
-           any violated property.
+* verify:  thuecc.verify.verify_instance; each check is written as
+           {"check", "status", "detail"}, status ok, fail or skipped.
 * fermat:  construct / check / orbit verbs for generalized Fermat twists.
 
-Instances come inline (--F coefficients, --h) or from a JSON-lines
-corpus file {"coeffs": [...], "h": ...}.  Reports are deterministic for
-a fixed configuration: no timestamps, stable ordering.  Exit codes:
-0 all checks pass, 2 property violation, 3 input error.
+The commands parse input, fill in defaults and format what the library
+returns.  Instances come inline (--F coefficients, --h) or from a
+JSON-lines corpus file {"coeffs": [...], "h": ...}.  Reports are
+deterministic for a fixed configuration: no timestamps, stable ordering.
+Exit codes: 0 no check failed, 2 some check failed, 3 input error.
 """
 
 from __future__ import annotations
@@ -21,17 +22,13 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
-
-import sympy
 
 from thuecc import bounds as bnd
-from thuecc import charts as ch
 from thuecc import enumerate as en
 from thuecc import fermat as fm
 from thuecc import padic
-from thuecc import polyutil
-from thuecc.forms import BinaryForm, FormError, ThueInstance, monicize, power_gcd
+from thuecc.forms import BinaryForm, FormError, ThueInstance, power_gcd
+from thuecc.verify import verify_instance
 
 EXIT_OK = 0
 EXIT_VIOLATION = 2
@@ -178,112 +175,30 @@ def _report_dict(report: bnd.BoundReport) -> dict:
 def cmd_verify(args) -> tuple[dict, int]:
     hyp = _parse_hypothesis(args.hypothesis)
     rows = []
-    violated = False
     for inst in _load_instances(args):
-        checks: list[dict] = []
-
-        def check(name: str, ok: bool, detail: str = ""):
-            nonlocal violated
-            checks.append({"check": name, "ok": bool(ok), "detail": detail})
-            if not ok:
-                violated = True
-
         if not inst.irreducible:
             rows.append({"instance": inst.instance_id(), "error": "reducible model"})
             continue
-        n = inst.n
-        p = args.p if args.p is not None else bnd.bertrand_prime(n)
-        # main_bounds rejects a bad p before any valuation at p is taken
-        report = bnd.main_bounds(inst, p, hyp)
-        box = args.box if args.box is not None else en.default_box(n).bound
-        sols = en.primitive_solutions(inst, box)
+        p = args.p if args.p is not None else bnd.bertrand_prime(inst.n)
+        box = args.box if args.box is not None else en.default_box(inst.n).bound
+        res = verify_instance(inst, p, box, hyp, args.precision)
         row: dict = {
             "instance": inst.instance_id(),
             "box": box,
-            "solutions": [list(s) for s in sols.solutions],
-            "count": len(sols),
+            "solutions": [list(s) for s in res.solutions.solutions],
+            "count": len(res.solutions),
+            "checks": [
+                {"check": c.name, "status": c.status, "detail": c.detail} for c in res.checks
+            ],
         }
-        # difference-valuation consistency at p
-        shape = inst.shape
-        if shape.s >= 2:
-            diffs = padic.difference_valuations(shape, p)
-            total = sum(Fraction(v) * m for v, m in diffs)
-            expected = polyutil.vp_frac(inst.dstar / shape.lead, p)
-            check(
-                "difference_valuations_sum",
-                total == expected,
-                f"sum {total} vs v_p(disc)-(2s-2)v_p(lc) = {expected}",
-            )
-        # bound comparison
-        for e in report.entries:
-            if not e.conditional:
-                check(
-                    f"count_le_{e.name}",
-                    len(sols) <= e.floor,
-                    f"{len(sols)} <= {e.floor} [{e.quantity}]",
-                )
-        # chart identities at a prime dividing h
-        ph = next((q for q in sympy.primefactors(inst.h) if q > n), None)
-        if ph is not None:
-            charts = _verify_charts(inst, sols, ph, check, args.precision)
-            if charts:
-                row["charts"] = {"p": ph, "ledgers": [c.to_dict() for c in charts]}
-        rows.append(row | {"checks": checks})
-    if violated:
+        if res.ledgers:
+            row["charts"] = {"p": res.chart_prime, "ledgers": [c.to_dict() for c in res.ledgers]}
+        rows.append(row)
+    if any(c["status"] == "fail" for r in rows for c in r.get("checks", ())):
         code = EXIT_VIOLATION
     else:
         code = EXIT_INPUT if any("error" in r for r in rows) else EXIT_OK
     return {"command": "verify", "rows": rows}, code
-
-
-def _verify_charts(inst: ThueInstance, sols, p: int, check, precision=None):
-    u, minst = 0, inst
-    if inst.form.coeffs[0] % p == 0:
-        u, monic = monicize(inst.form, p)
-        minst = ThueInstance.build(monic, inst.h)
-    # F'(x,y) = F(x, y+ux), so (x, y) solving F = h maps to (x, y - ux)
-    msols = [(x, y - u * x) for x, y in sols.solutions]
-    ok_vb = all(padic.check_vb_zero(a, b, minst, p) for a, b in msols)
-    check("v_p(b)_zero", ok_vb, f"all {len(msols)} solutions at p={p}")
-    try:
-        tracked = padic.hensel_track_roots(
-            minst.shape, p, precision or padic.default_precision(minst, p)
-        )
-    except (padic.RamifiedCase, ValueError) as exc:
-        check("tracked_mode", True, f"skipped: {exc}")
-        return []
-    w = polyutil.vp(minst.h, p)
-    by_argmax: dict[int, list] = {}
-    charts = []
-    for a, b in msols:
-        prof = padic.solution_valuations(a, b, minst, p, tracked)
-        chart = ch.chart_from_tracked(prof, tracked, w)
-        charts.append(chart)
-        check(
-            f"w_equals_um({a},{b})",
-            ch.verify_w_equals_um(chart),
-            f"w={chart.w} u_m={chart.u_seq[-1]}",
-        )
-        by_argmax.setdefault(prof.argmax_index, []).append(prof)
-    for idx, group in sorted(by_argmax.items()):
-        rep = ch.check_common_root_depth(group)
-        check(f"common_depth(root {idx})", rep.passed, f"t values {rep.t_values}")
-    if charts:
-        census = en.residue_class_census(
-            en.SolutionSet(minst.instance_id(), tuple(msols), sols.box),
-            minst,
-            p,
-            tracked,
-        )
-        case = bnd.classify_prime(minst, p)
-        s = minst.shape.s
-        limit = s * minst.n * p if case.divides_dstar else s * p
-        check(
-            "census_additive_term",
-            census.count <= limit,
-            f"{census.count} classes <= {limit} (case {case.case_tag})",
-        )
-    return charts
 
 
 _FERMAT_REQUIRED = {"construct": ("t1", "t2"), "check": ("A", "B", "C", "p"), "orbit": ("t",)}
@@ -364,7 +279,7 @@ def _render_text(payload: dict) -> str:
             if key in row:
                 lines.append(f"    {key}: {row[key]}")
         for c in row.get("checks", []):
-            mark = "ok" if c["ok"] else "FAIL"
+            mark = "FAIL" if c["status"] == "fail" else c["status"]
             lines.append(f"    [{mark}] {c['check']}: {c['detail']}")
     return "\n".join(lines)
 

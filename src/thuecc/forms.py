@@ -15,7 +15,6 @@ the squarefree part, both Galois-stable computations.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -63,13 +62,6 @@ class BinaryForm:
     def swapped(self) -> "BinaryForm":
         """F(y,x)."""
         return BinaryForm(self.degree, tuple(reversed(self.coeffs)))
-
-    def to_json(self) -> str:
-        return json.dumps([str(c) for c in self.coeffs])
-
-    @classmethod
-    def from_json(cls, text: str) -> "BinaryForm":
-        return cls.from_coeffs([int(s) for s in json.loads(text)])
 
     def __str__(self) -> str:
         n = self.degree

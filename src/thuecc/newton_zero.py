@@ -55,13 +55,6 @@ class CoeffValuationSeq:
         if all(v == INF for v in self.vals):
             raise ValueError("at least one coefficient must be nonzero")
 
-    @classmethod
-    def from_json_list(cls, p: int, items) -> "CoeffValuationSeq":
-        return cls(p, tuple(INF if x == "inf" else int(x) for x in items))
-
-    def to_json_list(self) -> list:
-        return ["inf" if v == INF else int(v) for v in self.vals]
-
 
 def compare_rho_gt(x: int, c: int, p: int) -> bool:
     """Decide x - log_p(x) > c exactly: equivalent to p^(x-c) > x."""

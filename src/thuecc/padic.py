@@ -48,19 +48,6 @@ class PrecisionError(ValueError):
     """A valuation reached the tracking precision; re-track with larger N."""
 
 
-def val_to_str(v: Val) -> str:
-    if v == INF:
-        return "inf"
-    v = Fraction(v)
-    return f"{v.numerator}/{v.denominator}"
-
-
-def val_from_str(s: str) -> Val:
-    if s.strip() == "inf":
-        return INF
-    return Fraction(s)
-
-
 # ---------------------------------------------------------------------------
 # Newton polygons
 

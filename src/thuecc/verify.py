@@ -1,0 +1,110 @@
+"""Every checkable identity of one instance, returned as data.
+
+verify_instance checks the primitive solutions in a box against the
+bounds at p and, at the smallest prime p > n dividing h, against v(b) =
+0, w = u_m, equal depths per deepest root and the census additive term
+s*p or s*n*p.  A skipped check carries its reason and is never a pass.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from fractions import Fraction
+
+import sympy
+
+from thuecc import bounds as bnd
+from thuecc import charts as ch
+from thuecc import enumerate as en
+from thuecc import padic
+from thuecc import polyutil
+from thuecc.forms import ThueInstance, monicize
+
+
+@dataclass(frozen=True)
+class Check:
+    name: str
+    status: str  # "ok", "fail" or "skipped"
+    detail: str
+
+
+def _check(name: str, passed: bool, detail: str) -> Check:
+    return Check(name, "ok" if passed else "fail", detail)
+
+
+@dataclass(frozen=True)
+class Verification:
+    solutions: en.SolutionSet
+    checks: tuple[Check, ...]
+    chart_prime: int | None  # the prime of the chart checks, None if none divides h
+    ledgers: tuple[ch.ChartData, ...]
+
+
+def verify_instance(
+    instance: ThueInstance, p: int, box: int, hypothesis: bnd.RankHypothesis | None,
+    precision: int | None = None,
+) -> Verification:
+    # main_bounds rejects a bad p before any valuation at p is taken
+    report = bnd.main_bounds(instance, p, hypothesis)
+    sols = en.primitive_solutions(instance, box)
+    checks: list[Check] = []
+    shape = instance.shape
+    if shape.s >= 2:
+        diffs = padic.difference_valuations(shape, p)
+        total = sum(Fraction(v) * m for v, m in diffs)
+        expected = polyutil.vp_frac(instance.dstar / shape.lead, p)
+        detail = f"sum {total} vs v_p(disc)-(2s-2)v_p(lc) = {expected}"
+        checks.append(_check("difference_valuations_sum", total == expected, detail))
+    hyp = hypothesis.describe() if hypothesis else "unset"
+    for e in report.entries:
+        name = f"count_le_{e.name}"
+        if e.conditional:
+            checks.append(Check(name, "skipped", f"conditional under hypothesis {hyp}"))
+        else:
+            detail = f"{len(sols)} <= {e.floor} [{e.quantity}]"
+            checks.append(_check(name, len(sols) <= e.floor, detail))
+    ph = next((q for q in sympy.primefactors(instance.h) if q > instance.n), None)
+    if ph is None:
+        detail = f"no prime p > n = {instance.n} divides h = {instance.h}"
+        return Verification(sols, (*checks, Check("charts", "skipped", detail)), None, ())
+    chart_checks, ledgers = _chart_checks(instance, sols, ph, precision)
+    return Verification(sols, (*checks, *chart_checks), ph, tuple(ledgers))
+
+
+def _chart_checks(inst: ThueInstance, sols: en.SolutionSet, p: int, precision):
+    u, minst = 0, inst
+    if inst.form.coeffs[0] % p == 0:
+        u, monic = monicize(inst.form, p)
+        minst = ThueInstance.build(monic, inst.h)
+    # F'(x,y) = F(x, y+ux), so (x, y) solving F = h maps to (x, y - ux)
+    msols = [(x, y - u * x) for x, y in sols.solutions]
+    ok_vb = all(padic.check_vb_zero(a, b, minst, p) for a, b in msols)
+    checks = [_check("v_p(b)_zero", ok_vb, f"all {len(msols)} solutions at p={p}")]
+    try:
+        precision = precision or padic.default_precision(minst, p)
+        tracked = padic.hensel_track_roots(minst.shape, p, precision)
+    except (padic.RamifiedCase, ValueError) as exc:
+        return checks + [Check("tracked_mode", "skipped", str(exc))], []
+    w = polyutil.vp(minst.h, p)
+    by_argmax: dict[int, list] = {}
+    charts = []
+    for a, b in msols:
+        prof = padic.solution_valuations(a, b, minst, p, tracked)
+        chart = ch.chart_from_tracked(prof, tracked, w)
+        charts.append(chart)
+        detail = f"w={chart.w} u_m={chart.u_seq[-1]}"
+        checks.append(_check(f"w_equals_um({a},{b})", ch.verify_w_equals_um(chart), detail))
+        by_argmax.setdefault(prof.argmax_index, []).append(prof)
+    for idx, group in sorted(by_argmax.items()):
+        rep = ch.check_common_root_depth(group)
+        t_values = ", ".join(map(str, rep.t_values))
+        checks.append(_check(f"common_depth(root {idx})", rep.passed, f"t values {t_values}"))
+    if charts:
+        census = en.residue_class_census(
+            en.SolutionSet(minst.instance_id(), tuple(msols), sols.box), minst, p, tracked
+        )
+        case = bnd.classify_prime(minst, p)
+        limit = minst.shape.s * (minst.n * p if case.divides_dstar else p)
+        detail = f"{census.count} classes <= {limit} (case {case.case_tag})"
+        checks.append(_check("census_additive_term", census.count <= limit, detail))
+    return checks, charts

@@ -108,7 +108,7 @@ def test_verify_passes(capsys):
     payload = json.loads(out)
     row = payload["rows"][0]
     assert row["count"] == 8
-    assert all(c["ok"] for c in row["checks"])
+    assert all(c["status"] == "ok" for c in row["checks"])
 
 
 def test_verify_csv_format(capsys):
@@ -189,7 +189,8 @@ def test_input_errors(tmp_path, capsys):
 def test_random_argv_exits_cleanly(capsys):
     """Seeded random analyze/bound/verify and fermat calls, well-formed or
     not, end with exit 0, 2 or 3 and never raise; a non-prime --p of
-    analyze/bound/verify always exits 3."""
+    analyze/bound/verify always exits 3.  A verify report gives every
+    check a status, and exits 2 exactly when some check fails."""
     rng = random.Random(20261018)
     hypotheses = [
         "chabauty_lt_g", "chabauty_lt_g:zz", "mw_rank_value:1", "mw_rank_value:x",
@@ -215,6 +216,12 @@ def test_random_argv_exits_cleanly(capsys):
         assert code in (0, 2, 3), argv
         if p in (0, 1, 4, 6, -5):
             assert code == 3, argv
+        out = capsys.readouterr().out
+        if argv[0] == "verify" and code in (0, 2):
+            rows = json.loads(out)["rows"]
+            checks = [c["status"] for r in rows for c in r["checks"]]
+            assert set(checks) <= {"ok", "fail", "skipped"}, argv
+            assert (code == 2) == ("fail" in checks), argv
     # fermat verbs: malformed triples, n and p outside their range
     triples = ["1,2,1", "2,1,1", "1,1,1", "0,0,0", "3,-2,5", "1,2", "1,2,3,4",
                "a,b,c", "", "1,,2"]

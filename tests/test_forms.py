@@ -187,8 +187,3 @@ def test_substitution_expansion():
     for x in range(-4, 5):
         for y in range(-4, 5):
             assert out(x, y) == form(x, y + 3 * x)
-
-
-def test_json_roundtrip():
-    form = BinaryForm.from_coeffs([1, 0, -2, 5])
-    assert BinaryForm.from_json(form.to_json()) == form

@@ -165,10 +165,3 @@ def test_term_valuation_floor_inequality():
     for p in (3, 5, 7, 11):
         for m in range(1, 400):
             assert term_valuation(m, 0, p) >= m - math.floor(math.log(m, p) + 1e-12)
-
-
-def test_json_roundtrip():
-    seq = CoeffValuationSeq(5, (1, INF, 0, 2))
-    items = seq.to_json_list()
-    assert items == [1, "inf", 0, 2]
-    assert CoeffValuationSeq.from_json_list(5, items).vals == seq.vals

@@ -22,8 +22,6 @@ from thuecc.padic import (
     newton_polygon,
     root_valuations,
     solution_valuations,
-    val_from_str,
-    val_to_str,
 )
 
 
@@ -360,13 +358,6 @@ def test_check_vb_zero_pre_enforced():
     inst = ThueInstance.build(BinaryForm.from_coeffs([1, 0, -1]), 15)
     with pytest.raises(ValueError):
         check_vb_zero(4, 1, inst, 7)  # 7 does not divide 15
-
-
-def test_valuation_serialization():
-    assert val_to_str(Fraction(3, 2)) == "3/2"
-    assert val_to_str(INF) == "inf"
-    assert val_from_str("5/1") == 5
-    assert val_from_str("inf") == INF
 
 
 @given(st.integers(-20, 20), st.integers(1, 6))

@@ -1,0 +1,73 @@
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from helpers import random_tracked_instance
+from thuecc.bounds import RankHypothesis
+from thuecc.cli import main
+from thuecc.enumerate import primitive_solutions
+from thuecc.forms import BinaryForm, ThueInstance
+from thuecc.verify import verify_instance
+
+CHABAUTY = RankHypothesis("chabauty_lt_g")
+
+
+def build(coeffs, h) -> ThueInstance:
+    return ThueInstance.build(BinaryForm.from_coeffs(coeffs), h)
+
+
+def statuses(result) -> dict[str, str]:
+    return {c.name: c.status for c in result.checks}
+
+
+def test_ramified_tracking_is_skipped_not_passed(capsys):
+    res = verify_instance(build([1, 0, 0, -7], 7), 5, 20, None)
+    (tracked,) = [c for c in res.checks if c.name == "tracked_mode"]
+    assert tracked.status == "skipped"
+    assert "not squarefree mod 7" in tracked.detail
+    assert not tracked.detail.startswith("skipped")
+    assert res.chart_prime == 7 and res.ledgers == ()
+    assert main(["verify", "--F=1,0,0,-7", "--h", "7"]) == 0
+    capsys.readouterr()
+
+
+def test_no_chart_prime_is_skipped():
+    res = verify_instance(build([1, 0, 0, 0, 1], 6), 5, 20, CHABAUTY)
+    assert statuses(res)["charts"] == "skipped"
+    assert res.chart_prime is None and res.ledgers == ()
+
+
+def test_conditional_bounds_are_skipped_without_hypothesis():
+    inst = build([1, 0, 0, 0, 1], 17)
+    names = ("count_le_case_a", "count_le_global_cubic")
+    unset = statuses(verify_instance(inst, 5, 100, None))
+    assert [unset[n] for n in names] == ["skipped", "skipped"]
+    declared = statuses(verify_instance(inst, 5, 100, CHABAUTY))
+    assert [declared[n] for n in names] == ["ok", "ok"]
+
+
+def test_monicized_charts_all_ok():
+    res = verify_instance(build([7, 1, 0, 1], 7), 5, 100, CHABAUTY)
+    assert res.chart_prime == 7
+    assert len(res.ledgers) == 2
+    assert {c.status for c in res.checks} == {"ok"}
+
+
+def test_common_depth_detail_prints_plain_values():
+    res = verify_instance(build([1, 0, 0, 0, 1], 17), 5, 100, CHABAUTY)
+    depth = [c.detail for c in res.checks if c.name.startswith("common_depth")]
+    assert depth == ["t values 1, 1"] * 4
+
+
+@given(st.integers(0, 10**6))
+@settings(max_examples=25, deadline=None)
+def test_tracked_instances_pass_every_check(seed):
+    rng = random.Random(seed)
+    p = rng.choice([5, 7])
+    inst, sol = random_tracked_instance(rng, p)
+    res = verify_instance(inst, p, 40, CHABAUTY)
+    assert res.solutions == primitive_solutions(inst, 40)
+    assert sol in res.solutions.solutions
+    assert {c.status for c in res.checks} == {"ok"}
+    assert res.chart_prime > inst.n and inst.h % res.chart_prime == 0
