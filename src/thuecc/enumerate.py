@@ -2,7 +2,9 @@
 
 The box search is the ground truth everything else is checked against:
 it finds every coprime pair with max(|x|, |y|) <= B and F(x, y) = h.
-Every box goes through one exact residue sieve (two prime moduli whose
+For even n it scans only the half box x >= 0 and mirrors the x > 0
+solutions through (x, y) -> (-x, -y); for odd n it scans the full box.
+Every scan goes through one exact residue sieve (two prime moduli whose
 product exceeds the box diameter, combined by CRT), which provably
 discards no solution: a true solution satisfies the congruence at every
 modulus, and every surviving candidate is verified with exact integer
@@ -136,9 +138,15 @@ def _value_buckets(coeffs, q: int) -> dict[int, list[int]]:
 
 def primitive_solutions(instance: ThueInstance, box: SearchBox | int) -> SolutionSet:
     """Exhaustive primitive-solution scan over max(|x|,|y|) <= B, in
-    lexicographic order."""
+    lexicographic order.  Odd n scans the full box.  Even n scans only
+    x >= 0: F(-x, -y) = F(x, y), so the solutions with x < 0 are the
+    negatives of those with x > 0, in reverse order."""
     b = (box if isinstance(box, SearchBox) else SearchBox(int(box))).bound
-    sols = scan_stripe(instance, b, -b, b)
+    if instance.n % 2:
+        sols = scan_stripe(instance, b, -b, b)
+    else:
+        half = scan_stripe(instance, b, 0, b)
+        sols = [(-x, -y) for x, y in reversed(half) if x] + half
     return SolutionSet(instance.instance_id(), tuple(sols), b)
 
 

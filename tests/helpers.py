@@ -98,6 +98,13 @@ def realize_series(seq: CoeffValuationSeq, rng):
     return polyutil.trim(tuple(coeffs))
 
 
+def form_value(coeffs, x: int, y: int) -> int:
+    """The defining sum sum_i coeffs[i] x^(n-i) y^i of a binary form,
+    coeffs in BinaryForm order; it shares no code with BinaryForm."""
+    n = len(coeffs) - 1
+    return sum(c * x ** (n - i) * y**i for i, c in enumerate(coeffs))
+
+
 def evaluate(f, x: int) -> int:
     """Horner evaluation of an ascending integer polynomial."""
     acc = 0

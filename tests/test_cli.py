@@ -108,6 +108,9 @@ def test_verify_passes(capsys):
     payload = json.loads(out)
     row = payload["rows"][0]
     assert row["count"] == 8
+    assert row["solutions"] == [
+        [-2, -1], [-2, 1], [-1, -2], [-1, 2], [1, -2], [1, 2], [2, -1], [2, 1],
+    ]
     assert all(c["status"] == "ok" for c in row["checks"])
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import product_form, random_form, random_tracked_instance
+from helpers import form_value, product_form, random_form, random_tracked_instance
 from thuecc import polyutil
 from thuecc.bounds import classify_prime
 from thuecc.enumerate import (
@@ -28,10 +28,11 @@ from thuecc.padic import default_precision, hensel_track_roots
 
 
 def brute_solutions(inst, b):
+    coeffs, h = inst.form.coeffs, inst.h
     out = []
     for x in range(-b, b + 1):
         for y in range(-b, b + 1):
-            if gcd(x, y) == 1 and inst.form(x, y) == inst.h:
+            if gcd(x, y) == 1 and form_value(coeffs, x, y) == h:
                 out.append((x, y))
     return out
 
@@ -39,10 +40,9 @@ def brute_solutions(inst, b):
 def test_desk_instance():
     inst = ThueInstance.build(BinaryForm.from_coeffs([1, 0, 0, 0, 1]), 17)
     ss = primitive_solutions(inst, 100)
-    assert set(ss.solutions) == {
-        (1, 2), (1, -2), (-1, 2), (-1, -2), (2, 1), (2, -1), (-2, 1), (-2, -1),
-    }
-    assert len(ss) == 8
+    assert ss.solutions == (
+        (-2, -1), (-2, 1), (-1, -2), (-1, 2), (1, -2), (1, 2), (2, -1), (2, 1),
+    )
 
 
 def test_cubic_instance():
@@ -92,7 +92,7 @@ def box_cases(draw):
     if draw(st.booleans()):
         # a value of the form, so that the box holds solutions
         x, y = draw(st.integers(-4, 4)), draw(st.integers(-4, 4))
-        h = sum(c * x ** (n - i) * y**i for i, c in enumerate(coeffs))
+        h = form_value(coeffs, x, y)
     else:
         h = draw(st.integers(-60, 60)) * draw(st.sampled_from([1, 2, 3, 5, 7, 210]))
     assume(h != 0)
@@ -108,6 +108,52 @@ def test_sieve_matches_brute_property(case):
     except FormError:
         assume(False)
     assert primitive_solutions(inst, box).solutions == tuple(brute_solutions(inst, box))
+
+
+@st.composite
+def mirror_cases(draw, parities=(0, 1)):
+    """(coeffs, h, box) with n of the given parities, h of either sign,
+    c_0 = 0 or c_n = 0, and h a value of the form at a point of the box,
+    on an axis or off it, all reachable."""
+    parity = draw(st.sampled_from(parities))
+    n = 2 * draw(st.integers(1, 4)) - parity
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1))
+    zeroed = draw(st.sampled_from([None, 0, n]))
+    if zeroed is not None:
+        coeffs[zeroed] = 0
+    assume(any(coeffs))
+    axis = st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])
+    anywhere = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+    point = draw(st.one_of(axis, anywhere, st.none()))
+    h = form_value(coeffs, *point) if point else draw(st.integers(1, 60))
+    h *= draw(st.sampled_from([1, -1]))
+    assume(h != 0)
+    return coeffs, h, draw(st.integers(1, 30))
+
+
+def mirror_instance(case):
+    coeffs, h, box = case
+    try:
+        return ThueInstance.build(BinaryForm.from_coeffs(coeffs), h), box
+    except FormError:
+        assume(False)
+
+
+@given(mirror_cases())
+@settings(max_examples=150, deadline=None)
+def test_mirrored_scan_matches_brute_property(case):
+    # even n scans only x >= 0 and mirrors; odd n scans the full box
+    inst, box = mirror_instance(case)
+    assert primitive_solutions(inst, box).solutions == tuple(brute_solutions(inst, box))
+
+
+@given(mirror_cases(parities=(0,)))
+@settings(max_examples=60, deadline=None)
+def test_even_degree_stripes_mirror(case):
+    inst, box = mirror_instance(case)
+    negative = scan_stripe(inst, box, -box, -1)
+    positive = scan_stripe(inst, box, 1, box)
+    assert negative == [(-x, -y) for x, y in reversed(positive)]
 
 
 def test_stripes_merge_deterministically():
