@@ -52,8 +52,14 @@ class BinaryForm:
         return cls(len(coeffs) - 1, coeffs)
 
     def __call__(self, x: int, y: int) -> int:
-        n = self.degree
-        return sum(c * x ** (n - i) * y**i for i, c in enumerate(self.coeffs))
+        """F(x, y) as an exact integer, by Horner's rule in x that carries
+        the power of y: acc = acc * x + c_i y^i for i = 0..n."""
+        acc = 0
+        y_i = 1
+        for c in self.coeffs:
+            acc = acc * x + c * y_i
+            y_i *= y
+        return acc
 
     def dehomogenized(self) -> IntPoly:
         """F(x,1) as an ascending-coefficient integer polynomial."""

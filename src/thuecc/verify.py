@@ -84,7 +84,10 @@ def _chart_checks(inst: ThueInstance, sols: en.SolutionSet, p: int, precision):
         precision = precision or padic.default_precision(minst, p)
         tracked = padic.hensel_track_roots(minst.shape, p, precision)
     except (padic.RamifiedCase, ValueError) as exc:
-        return checks + [Check("tracked_mode", "skipped", str(exc))], []
+        checks.append(Check("tracked_mode", "skipped", str(exc)))
+        if msols:
+            checks.append(_census_check(minst, msols, sols.box, p, None))
+        return checks, []
     w = polyutil.vp(minst.h, p)
     by_argmax: dict[int, list] = {}
     charts = []
@@ -100,11 +103,18 @@ def _chart_checks(inst: ThueInstance, sols: en.SolutionSet, p: int, precision):
         t_values = ", ".join(map(str, rep.t_values))
         checks.append(_check(f"common_depth(root {idx})", rep.passed, f"t values {t_values}"))
     if charts:
-        census = en.residue_class_census(
-            en.SolutionSet(minst.instance_id(), tuple(msols), sols.box), minst, p, tracked
-        )
-        case = bnd.classify_prime(minst, p)
-        limit = minst.shape.s * (minst.n * p if case.divides_dstar else p)
-        detail = f"{census.count} classes <= {limit} (case {case.case_tag})"
-        checks.append(_check("census_additive_term", census.count <= limit, detail))
+        checks.append(_census_check(minst, msols, sols.box, p, tracked))
     return checks, charts
+
+
+def _census_check(minst: ThueInstance, msols, box, p: int, tracked) -> Check:
+    """Census of the solutions' classes at p against s*p, or s*n*p when p
+    divides d*; without tracked roots the classes are depths only."""
+    census = en.residue_class_census(
+        en.SolutionSet(minst.instance_id(), tuple(msols), box), minst, p, tracked
+    )
+    case = bnd.classify_prime(minst, p)
+    limit = minst.shape.s * (minst.n * p if case.divides_dstar else p)
+    grain = ", depth granularity" if census.granularity == "depth" else ""
+    detail = f"{census.count} classes <= {limit} (case {case.case_tag}{grain})"
+    return _check("census_additive_term", census.count <= limit, detail)

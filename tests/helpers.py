@@ -53,7 +53,7 @@ def random_tracked_instance(rng, p: int):
         if abs(x0) > 40 or gcd(x0, y0) != 1:
             continue
         form = product_form(roots, mults)
-        h = form(x0, y0)
+        h = form_value(form.coeffs, x0, y0)
         if h == 0 or h % p != 0:
             continue
         inst = ThueInstance.build(form, h)

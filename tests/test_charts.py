@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import product_form, random_tracked_instance
+from helpers import form_value, product_form, random_tracked_instance
 from thuecc import polyutil
 from thuecc.charts import (
     SELF,
@@ -66,7 +66,7 @@ def test_chart_single_root_cluster():
     # need a solution: h = F(25, 4)? construct instead h = F(x0,y0)
     form = product_form([0, 1, 2], [1, 1, 1])
     x0, y0 = 25, 1
-    h = form(x0, y0)  # 25*24*23, v_5 = 2
+    h = form_value(form.coeffs, x0, y0)  # 25*24*23, v_5 = 2
     inst = ThueInstance.build(form, h)
     chart, _ = chart_for(inst, (x0, y0), 5)
     assert chart.s_seq == (0, 2)

@@ -207,7 +207,7 @@ def test_affine_count_brute_oracle():
                 1
                 for x in range(p)
                 for y in range(p)
-                if (form(x, y) - h) % p == 0
+                if (form_value(form.coeffs, x, y) - h) % p == 0
             )
             assert count_affine_points_mod_p(inst, p) == expect
 
@@ -269,9 +269,13 @@ def test_projective_points_at_infinity_brute_oracle():
             if inst.h % p == 0 or polyutil.vp_frac(inst.dstar, p) != 0:
                 continue
             F, h = inst.form, inst.h
-            affine = sum(1 for x in range(p) for y in range(p) if (F(x, y) - h) % p == 0)
+            affine = sum(
+                1 for x in range(p) for y in range(p)
+                if (form_value(F.coeffs, x, y) - h) % p == 0
+            )
             nonzero = sum(
-                1 for x in range(p) for y in range(p) if (x or y) and F(x, y) % p == 0
+                1 for x in range(p) for y in range(p)
+                if (x or y) and form_value(F.coeffs, x, y) % p == 0
             )
             assert count_projective_smooth(inst, p) == affine + nonzero // (p - 1)
             zero_root_seen |= F.coeffs[-1] % p == 0
@@ -338,8 +342,13 @@ def test_projective_smooth_count_brute_property(p, middle, c0, cn, p_divides_cn,
     inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), h)
     assume(inst.shape.s == inst.n and polyutil.vp_frac(inst.dstar, p) == 0)
     F = inst.form
-    affine = sum(1 for x in range(p) for y in range(p) if (F(x, y) - h) % p == 0)
-    nonzero = sum(1 for x in range(p) for y in range(p) if (x or y) and F(x, y) % p == 0)
+    affine = sum(
+        1 for x in range(p) for y in range(p) if (form_value(F.coeffs, x, y) - h) % p == 0
+    )
+    nonzero = sum(
+        1 for x in range(p) for y in range(p)
+        if (x or y) and form_value(F.coeffs, x, y) % p == 0
+    )
     assert count_projective_smooth(inst, p) == affine + nonzero // (p - 1)
 
 

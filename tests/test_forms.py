@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import product_form, random_form
+from helpers import form_value, product_form, random_form
 from thuecc.forms import (
     BinaryForm,
     FormError,
@@ -147,7 +147,7 @@ def test_monicize_unit_lead_always():
         assert out.coeffs[0] % p != 0
         # unimodular: solutions biject
         x, y = rng.randint(-5, 5), rng.randint(-5, 5)
-        assert out(x, y) == form(x, y + u * x)
+        assert form_value(out.coeffs, x, y) == form_value(form.coeffs, x, y + u * x)
 
 
 @given(st.lists(st.integers(-6, 6), min_size=3, max_size=7))
@@ -186,4 +186,21 @@ def test_substitution_expansion():
     out = substitute_y_shift(form, 3)
     for x in range(-4, 5):
         for y in range(-4, 5):
-            assert out(x, y) == form(x, y + 3 * x)
+            assert form_value(out.coeffs, x, y) == form_value(form.coeffs, x, y + 3 * x)
+
+
+COEFF = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-(10**40), 10**40))
+POINT = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-(10**12), 10**12))
+
+
+@given(
+    st.integers(1, 12).flatmap(lambda n: st.lists(COEFF, min_size=n + 1, max_size=n + 1)),
+    POINT,
+    POINT,
+)
+@example([0, 3, 0], 0, 0)
+@example([0, 10**40, 0, 0, -(10**40), 0], -(10**12), 10**12)
+@settings(max_examples=300, deadline=None)
+def test_call_matches_defining_sum(coeffs, x, y):
+    assume(any(coeffs))
+    assert BinaryForm.from_coeffs(coeffs)(x, y) == form_value(coeffs, x, y)

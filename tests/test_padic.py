@@ -8,7 +8,13 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import evaluate, product_form, random_tracked_instance, rational_factors
+from helpers import (
+    evaluate,
+    form_value,
+    product_form,
+    random_tracked_instance,
+    rational_factors,
+)
 from thuecc import polyutil
 from thuecc.enumerate import primitive_solutions
 from thuecc.forms import BinaryForm, FormShape, ThueInstance, factor_shape, monicize
@@ -335,10 +341,10 @@ def test_form_valuation_consistency():
 
     for _ in range(40):
         a, b = rng.randint(-40, 40), rng.randint(1, 6)
-        if gcd(a, b) != 1 or inst.form(a, b) == 0:
+        if gcd(a, b) != 1 or form_value(inst.form.coeffs, a, b) == 0:
             continue
         prof = solution_valuations(a, b, inst, 5)
-        assert prof.form_valuation(inst.shape) == polyutil.vp(inst.form(a, b), 5)
+        assert prof.form_valuation(inst.shape) == polyutil.vp(form_value(inst.form.coeffs, a, b), 5)
 
 
 def test_check_vb_zero_on_enumerated_solutions():
@@ -370,7 +376,7 @@ def test_profile_total_is_h_valuation_on_solutions(a_shift, b):
     if gcd(a, b) != 1:
         return
     form = product_form([0, 1, 5], [1, 1, 1])
-    h = form(a, b)
+    h = form_value(form.coeffs, a, b)
     if h == 0:
         return
     inst = ThueInstance.build(form, h)

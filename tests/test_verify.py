@@ -28,6 +28,13 @@ def test_ramified_tracking_is_skipped_not_passed(capsys):
     assert "not squarefree mod 7" in tracked.detail
     assert not tracked.detail.startswith("skipped")
     assert res.chart_prime == 7 and res.ledgers == ()
+    # one solution, (0, -1): the census still runs, on depths only
+    res = verify_instance(build([1, 0, 0, -7], 7), 5, 50, None)
+    assert res.solutions.solutions == ((0, -1),)
+    checks = {c.name: c for c in res.checks}
+    assert checks["tracked_mode"].status == "skipped"
+    assert checks["census_additive_term"].status == "ok"
+    assert checks["census_additive_term"].detail == "1 classes <= 63 (case d, depth granularity)"
     assert main(["verify", "--F=1,0,0,-7", "--h", "7"]) == 0
     capsys.readouterr()
 
