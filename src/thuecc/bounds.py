@@ -24,13 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
 
 import sympy
 
 from thuecc import polyutil
 from thuecc.forms import ThueInstance
-from thuecc.polyutil import IntPoly
 
 QTY_RATIONAL_POINTS = "|X(Q)|"
 QTY_PRIMITIVE_LOCAL = "N(F,h,Q,p)"
@@ -155,7 +153,7 @@ class BoundReport:
 
 
 # ---------------------------------------------------------------------------
-# Residue-class bounds (the four prime cases at a general prime p > n)
+# The Chabauty residue term
 
 
 def chabauty_residue_bound(g: int, p: int, classes) -> Fraction:
@@ -163,42 +161,6 @@ def chabauty_residue_bound(g: int, p: int, classes) -> Fraction:
     if p <= 2:
         raise BoundError("requires p > 2")
     return Fraction((2 * g - 2) * (p - 1), p - 2) + Fraction(classes)
-
-
-def bound_case_a(g: int, p: int, smooth_count: int) -> BoundEntry:
-    """Good reduction: |X(K)| <= (2g-2)(p-1)/(p-2) + #smooth F_p-points."""
-    e = chabauty_residue_bound(g, p, smooth_count)
-    flags = ("X(Q) empty",) if smooth_count == 0 else ()
-    return BoundEntry.make("case_a_residue", QTY_RATIONAL_POINTS, e, flags=flags)
-
-
-def bound_case_b(g: int, p: int, s: int) -> BoundEntry:
-    """p | h only: at most s components carry rational points, each a
-    rational curve, so |X(K)| <= (2g-2)(p-1)/(p-2) + s*p."""
-    return BoundEntry.make(
-        "case_b_residue", QTY_RATIONAL_POINTS, chabauty_residue_bound(g, p, s * p)
-    )
-
-
-def bound_case_c(g: int, p: int, affine_count: int) -> BoundEntry:
-    """p | d* only: N(F,h,K,P) <= (2g-2)(p-1)/(p-2) + a(p), the affine
-    F_p-point count of F(x,y) = h."""
-    return BoundEntry.make(
-        "case_c_residue", QTY_PRIMITIVE_LOCAL, chabauty_residue_bound(g, p, affine_count)
-    )
-
-
-def bound_case_d(g: int, p: int, s: int, n: int) -> BoundEntry:
-    """p | h and p | d*: N(F,h,K,P) <= (2g-2)(p-1)/(p-2) + s*n*p."""
-    return BoundEntry.make(
-        "case_d_residue", QTY_PRIMITIVE_LOCAL, chabauty_residue_bound(g, p, s * n * p)
-    )
-
-
-def projection_point_bound(n: int, p: int, has_point: bool) -> int:
-    """Plane-curve point count via projection to a line: (n-1)(p+1) when
-    an F_p-point is available to project from, n*p otherwise."""
-    return (n - 1) * (p + 1) if has_point else n * p
 
 
 # ---------------------------------------------------------------------------
@@ -379,56 +341,6 @@ def refined_bounds(
         case = classify_prime(instance, n + 1)
         reports.append(refined_bounds_degree_pm1(n + 1, case, hypothesis, s=s_eff))
     return reports
-
-
-# ---------------------------------------------------------------------------
-# Jacobian decomposition arithmetic under the order-n automorphism
-
-
-def automorphism_char_poly(n: int, multiplicities) -> IntPoly:
-    """Characteristic polynomial of the order-n automorphism on homology.
-
-    For the smooth model of y^n = f(x) with n | deg f and multiplicity
-    vector (n_1..n_s): phi(t)^(s-2) divided exactly by the product of
-    (t^gcd(n,n_i) - 1)/(t - 1); phi(t) = (t^n - 1)/(t - 1).  The degree
-    equals 2g.  Ascending coefficients returned.
-    """
-    mults = tuple(multiplicities)
-    s = len(mults)
-    if s < 2:
-        raise BoundError("need at least two roots")
-    if sum(mults) % n != 0:
-        raise BoundError("multiplicities must sum to a multiple of n")
-    phi: IntPoly = (1,) * n  # (t^n - 1)/(t - 1)
-    num: IntPoly = (1,)
-    for _ in range(s - 2):
-        num = polyutil.mul(num, phi)
-    for m in mults:
-        d = gcd(n, m)
-        if d > 1:
-            num, rem = polyutil.divmod_monic(num, (1,) * d)
-            if rem:
-                raise BoundError("division leaves a remainder: input outside the hypotheses")
-    return num
-
-
-def isotypic_dimension(n: int, d: int, s: int, multiplicities=None) -> int:
-    """Dimension phi(d)(s-2)/2 of the level-d isotypic piece of the
-    jacobian; must be an integer (hypothesis violation otherwise).
-
-    Requires d | n and, when multiplicities are supplied, d > gcd(n,n_i)
-    for every i (the piece can degenerate below that threshold).
-    """
-    if d <= 1 or n % d != 0:
-        raise BoundError("need d | n with d > 1")
-    if multiplicities is not None:
-        for m in multiplicities:
-            if d <= gcd(n, m):
-                raise BoundError(f"d={d} not above gcd(n,{m})")
-    val = Fraction(int(sympy.totient(d)) * (s - 2), 2)
-    if val.denominator != 1:
-        raise BoundError(f"non-integral dimension {val}: hypotheses violated")
-    return int(val)
 
 
 def rank_threshold(s: int) -> Fraction:

@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from thuecc import polyutil
-from thuecc.enumerate import affine_point_count
 from thuecc.padic import INF, SolutionValuationProfile, TrackedRoots, Val
 
 SELF = -1  # member reference for the chosen root's own factor (gamma = 0)
@@ -59,10 +57,6 @@ class ChartData:
     w: int
     rescale: int = 1
     argmax_tied: bool = False
-
-    @property
-    def depth(self) -> int:
-        return len(self.s_seq) - 1
 
     def to_dict(self) -> dict:
         return {
@@ -239,143 +233,3 @@ def check_common_root_depth(profiles: list[SolutionValuationProfile]) -> DepthRe
         raise ChartError(f"profiles mix argmax roots {sorted(indices)}")
     ts = tuple(pr.t for pr in profiles)
     return DepthReport(root_index=indices.pop(), t_values=ts, passed=len(set(ts)) == 1)
-
-
-@dataclass(frozen=True)
-class DiskPartition:
-    blocks: tuple[tuple[int, ...], ...]
-    block_t: tuple[int, ...]
-    merged: tuple[bool, ...]
-    consistent: bool
-
-
-def disk_partition(pairwise, charts: list[ChartData]) -> DiskPartition:
-    """Merge chart roots into disks: i, j join when v(alpha_i - alpha_j)
-    >= min(t_i, t_j).
-
-    pairwise maps a frozenset {i, j} of root indices (or an (i, j)
-    tuple) to the valuation of the difference, in the same rescaled
-    units as the charts.  Union-find keeps the merge order-independent;
-    within a block all depths must agree (a mismatch is reported as
-    consistent=False, a violated hypothesis).
-    """
-    items = [(c.root_index, c.t) for c in charts]
-    if any(i is None for i, _ in items):
-        raise ChartError("charts must carry root indices for disk merging")
-    parent = {i: i for i, _ in items}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def lookup(i, j):
-        if (i, j) in pairwise:
-            return pairwise[(i, j)]
-        if (j, i) in pairwise:
-            return pairwise[(j, i)]
-        return pairwise[frozenset((i, j))]
-
-    tmap = dict(items)
-    idxs = sorted(tmap)
-    for ii, i in enumerate(idxs):
-        for j in idxs[ii + 1 :]:
-            if lookup(i, j) >= min(tmap[i], tmap[j]):
-                parent[find(i)] = find(j)
-    groups: dict[int, list[int]] = {}
-    for i in idxs:
-        groups.setdefault(find(i), []).append(i)
-    blocks = tuple(tuple(sorted(g)) for g in sorted(groups.values()))
-    block_t = tuple(tmap[b[0]] for b in blocks)
-    merged = tuple(len(b) > 1 for b in blocks)
-    consistent = all(len({tmap[i] for i in b}) == 1 for b in blocks)
-    return DiskPartition(blocks, block_t, merged, consistent)
-
-
-@dataclass(frozen=True)
-class SpecialFiberShape:
-    """Reduction type of the regular piece around one disk.
-
-    The defining equation reduces to f(u,y) * (unit) * y^(n - D) = mu
-    with f of degree D = weighted count of roots in the disk; r counts
-    the distinct roots.  For a disk with a single root, D = n_i and the
-    fiber is the rational curve u^(n_i) y^(n - n_i) = mu (u y^(n-1) = mu
-    in the simple-root case)."""
-
-    distinct_roots: int
-    weighted_degree: int
-    cofactor_exponent: int
-    fiber_poly: tuple | None = None  # ascending coeffs of f(u, 1) mod p, tracked mode
-    unit: int | None = None
-    mu: int | None = None
-
-
-def special_fiber_shape(
-    chart: ChartData,
-    n: int,
-    tracked: TrackedRoots | None = None,
-    h: int | None = None,
-) -> SpecialFiberShape:
-    """Shape (r, n - r) of the special fiber of the chart's deepest piece.
-
-    With tracked data and h, the reduced polynomial and unit are
-    materialized over F_p so the fiber's affine points can be counted.
-    """
-    deepest = chart.levels[-1]
-    distinct = len(deepest)
-    weighted = sum(m.multiplicity for m in deepest)
-    fiber_poly = None
-    unit = None
-    mu = None
-    if tracked is not None and h is not None and chart.rescale == 1:
-        p = tracked.p
-        by_index = {r.index: r for r in tracked.roots}
-        chosen = by_index[chart.root_index]
-
-        def approx(root):
-            try:
-                return tracked.residue(root)
-            except ValueError as exc:
-                raise ChartError(str(exc)) from exc
-
-        a_i = approx(chosen)
-        # f(u) = prod over deepest members (u - gamma/p^t), gamma = alpha_j - alpha_i
-        poly = (1,)
-        for mb in deepest:
-            if mb.ref == SELF:
-                g_red = 0
-            else:
-                diff = (approx(by_index[mb.ref]) - a_i) % p ** tracked.precision
-                g_red = (diff // p**chart.t) % p
-            lin = (-g_red % p, 1)
-            for _ in range(mb.multiplicity):
-                poly = polyutil.poly_mod(polyutil.mul(poly, lin), p)
-        fiber_poly = poly
-        unit = 1
-        for k, lv in enumerate(chart.levels[:-1]):
-            for mb in lv:
-                diff = (approx(by_index[mb.ref]) - a_i) % p ** tracked.precision
-                val = (-(diff // p ** chart.s_seq[k])) % p
-                unit = unit * pow(val, mb.multiplicity, p) % p
-        w = chart.w
-        mu = (h // p**w) % p
-    return SpecialFiberShape(
-        distinct_roots=distinct,
-        weighted_degree=weighted,
-        cofactor_exponent=n - weighted,
-        fiber_poly=fiber_poly,
-        unit=unit,
-        mu=mu,
-    )
-
-
-def fiber_affine_points(fiber: SpecialFiberShape, p: int) -> int:
-    """Count (u, y) in F_p^2 with f(u,y) * unit * y^(n-D) = mu."""
-    if fiber.fiber_poly is None or fiber.mu is None:
-        raise ChartError("materialized fiber required")
-    # unit * y^c * f(u, y), f homogenized to its degree d, is the binary
-    # form of degree n = d + c whose u^k y^(n-k) coefficient is unit * f[k]
-    coeffs = [0] * fiber.cofactor_exponent
-    coeffs += [fiber.unit * c for c in reversed(fiber.fiber_poly)]
-    return affine_point_count(coeffs, fiber.mu, p)

@@ -65,19 +65,22 @@ def _parse_hypothesis(text: str | None) -> bnd.RankHypothesis | None:
 def _load_instances(args) -> list[ThueInstance]:
     specs: list[tuple[list[int], int]] = []
     if args.corpus:
-        with open(args.corpus) as fh:
-            for lineno, line in enumerate(fh, 1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    row = json.loads(line)
-                    specs.append(([int(c) for c in row["coeffs"]], int(row["h"])))
-                except (ValueError, KeyError, TypeError) as exc:
-                    raise InputError(
-                        f"{args.corpus}:{lineno}: expected a JSON object "
-                        f'{{"coeffs": [...], "h": ...}} ({type(exc).__name__}: {exc})'
-                    ) from exc
+        try:
+            with open(args.corpus, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, 1):
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        row = json.loads(line)
+                        specs.append(([int(c) for c in row["coeffs"]], int(row["h"])))
+                    except (ValueError, KeyError, TypeError) as exc:
+                        raise InputError(
+                            f"{args.corpus}:{lineno}: expected a JSON object "
+                            f'{{"coeffs": [...], "h": ...}} ({type(exc).__name__}: {exc})'
+                        ) from exc
+        except UnicodeDecodeError as exc:
+            raise InputError(f"{args.corpus}: not UTF-8 text ({exc})") from exc
     if args.F is not None:
         if args.h is None:
             raise InputError("--F requires --h")
@@ -349,6 +352,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         payload, code = handlers[args.cmd](args)
+        _emit(payload, args)
     except (
         InputError,
         FormError,
@@ -359,7 +363,6 @@ def main(argv=None) -> int:
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    _emit(payload, args)
     return code
 
 

@@ -11,15 +11,14 @@ modulus, and every surviving candidate is verified with exact integer
 arithmetic.
 
 Every evaluation of a binary form over F_q (the sieve tables, the
-affine and projective point counts, the chart fibers) goes through one
-Horner sweep of F(1, t), _value_buckets; _rows reads from it the roots
-in y for every x mod q, which root_table sorts and the counts only sum.
+affine and projective point counts) goes through one Horner sweep of
+F(1, t), _value_buckets; _rows reads from it the roots in y for every
+x mod q, which root_table sorts and the counts only sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd, isqrt
 
 import sympy
@@ -27,7 +26,6 @@ import sympy
 from thuecc import polyutil
 from thuecc.forms import BinaryForm, ThueInstance
 from thuecc.padic import TrackedRoots, solution_valuations
-from thuecc.polyutil import vp
 
 
 @dataclass(frozen=True)
@@ -170,10 +168,7 @@ def count_projective_smooth(instance: ThueInstance, p: int) -> int:
     if shape.s != n or shape.degree_deficit != 0:
         raise ValueError("smooth count requires n distinct finite roots")
     if instance.h % p == 0 or polyutil.vp_frac(instance.dstar, p) != 0:
-        raise ValueError(
-            "smooth count requires p coprime to h*d*(F); "
-            "use projection_point_bound instead"
-        )
+        raise ValueError("smooth count requires p coprime to h*d*(F)")
     # one sweep of F(1, t) gives the affine points and the points at
     # infinity: z = 0, F(x,y) = 0 on the projective line, as (1:y) for
     # y in F_p plus (0:1) when F(0,1) = 0
@@ -270,28 +265,6 @@ def product_form_family(a_list, h: int) -> tuple[ThueInstance, list[tuple[int, i
     return instance, sorted(set(certified))
 
 
-def product_form_family_extra(
-    a_rest, q: int
-) -> tuple[ThueInstance, list[tuple[int, int]]]:
-    """Extra-solution variant: a_1 = q^(n-1) and h = prod_{i>=2} (1 - a_i q)
-    certify (1, q) on top of the standard (a_i, 1) set."""
-    a_rest = [int(a) for a in a_rest]
-    n = len(a_rest) + 1
-    a1 = q ** (n - 1)
-    if a1 in a_rest:
-        raise ValueError("q^(n-1) collides with a supplied root")
-    h = 1
-    for a in a_rest:
-        h *= 1 - a * q
-    if h == 0:
-        raise ValueError("h = 0: some 1 - a_i q vanishes")
-    instance, certified = product_form_family([a1] + a_rest, h)
-    if instance.form(1, q) != instance.h:
-        raise AssertionError("extra solution (1, q) fails")
-    certified = sorted(set(certified + [(1, q)]))
-    return instance, certified
-
-
 def _product_form_coeffs(a_list) -> list[int]:
     # prod (x - a_i y): elementary symmetric expansion, sign (-1)^i e_i
     n = len(a_list)
@@ -300,40 +273,3 @@ def _product_form_coeffs(a_list) -> list[int]:
         for i in range(n, 0, -1):
             e[i] = e[i] + a * e[i - 1]
     return [(-1) ** i * e[i] for i in range(n + 1)]
-
-
-# ---------------------------------------------------------------------------
-# p-integral point classification
-
-
-@dataclass(frozen=True)
-class PointClass:
-    kind: str  # "unit_z" (p coprime to z) or "divided_z" (p | z)
-    level: int
-    target_h: Fraction  # h of the instance whose primitive points biject
-
-
-def classify_p_integral_points(
-    points, instance: ThueInstance, p: int
-) -> list[tuple[tuple[int, int, int], PointClass]]:
-    """Sort projective integral points by their p-divisibility pattern.
-
-    For a normalized point (x:y:z) with gcd(x,y,z) = 1: when p does not
-    divide z, the level is i = v_p(gcd(x,y)) and the point corresponds
-    to a primitive point of the instance with h p^(-i n); when p | z the
-    level is i = v_p(z) and the target carries h p^(+i n).
-    """
-    n = instance.n
-    out = []
-    for x, y, z in points:
-        if gcd(gcd(x, y), z) != 1:
-            raise ValueError(f"point {(x, y, z)} is not normalized")
-        if z % p != 0:
-            gxy = gcd(x, y)
-            i = vp(gxy, p) if gxy != 0 else 0
-            cls = PointClass("unit_z", i, Fraction(instance.h, p ** (i * n)))
-        else:
-            i = vp(z, p)
-            cls = PointClass("divided_z", i, Fraction(instance.h * p ** (i * n)))
-        out.append(((x, y, z), cls))
-    return out

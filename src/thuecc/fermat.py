@@ -4,9 +4,8 @@ Constructions: recovering (A,B,C) from two solution triples by solving
 the 2x3 linear system, the equivalence relation comparing n-th power
 vectors projectively, scaling-orbit counts over cyclotomic fields
 (verified concretely over a finite field containing the n-th roots of
-unity), the at-most-one-triple consequence and its contrapositive rank
-conclusion, the infinite-order twist construction t2 = t1 + (q,q,q), and
-the quotient maps (x:y:1) -> (x^n, x^a y^b).
+unity), and the at-most-one-triple consequence with its contrapositive
+rank conclusion.
 
 Everything is exact integer / rational arithmetic; finite-field orbit
 materialization replaces any appeal to complex roots of unity.
@@ -39,9 +38,6 @@ class SolutionTriple:
 
     def power_vector(self, n: int) -> tuple[int, int, int]:
         return (self.x**n, self.y**n, self.z**n)
-
-    def shifted(self, q: int) -> "SolutionTriple":
-        return SolutionTriple(self.x + q, self.y + q, self.z + q)
 
 
 @dataclass(frozen=True)
@@ -260,69 +256,3 @@ def unique_triple_check(
         conclusion = "at most one class found; no hypothesis asserted, no conclusion"
         consistent = True
     return UniqueTripleReport(twist, p, tuple(classes), consistent, conclusion)
-
-
-@dataclass(frozen=True)
-class InfiniteOrderReport:
-    t1: SolutionTriple
-    t2: SolutionTriple
-    twist: FermatTwist
-    q: int
-    q_coprime_to_coeffs: bool
-    notes: tuple[str, ...]
-
-
-def infinite_order_construction(
-    t1: SolutionTriple, q: int, n: int
-) -> InfiniteOrderReport:
-    """Shift a triple by (q,q,q) and solve for the twist through both.
-
-    Preconditions: q > 2 prime, q not dividing n, and q not dividing
-    x1 y1 z1 (x1-y1)(x1-z1)(y1-z1).  The resulting primitive (A,B,C)
-    then satisfies q coprime to ABC, which is verified; the
-    good-reduction and torsion-free-kernel steps making the class of the
-    two points of infinite order are recorded as asserted provenance,
-    not machine-checked.
-    """
-    if q <= 2 or not sympy.isprime(q):
-        raise FermatError("q must be an odd prime")
-    if n % q == 0:
-        raise FermatError("q must not divide n")
-    x, y, z = t1.x, t1.y, t1.z
-    if (x * y * z * (x - y) * (x - z) * (y - z)) % q == 0:
-        raise FermatError("q divides x1 y1 z1 (x1-y1)(x1-z1)(y1-z1)")
-    t2 = t1.shifted(q)
-    twist = solve_coefficients(t1, t2, n)
-    ok = (twist.A * twist.B * twist.C) % q != 0
-    if not ok:
-        raise AssertionError("q divides ABC despite the preconditions")
-    notes = (
-        f"good reduction at q={q}: asserted from q coprime to ABC",
-        "difference of the two points lies in the kernel of reduction mod q, "
-        "which is torsion-free for q > 2, hence has infinite order (asserted)",
-    )
-    return InfiniteOrderReport(t1, t2, twist, q, ok, notes)
-
-
-def quotient_map(
-    x: Fraction | int, y: Fraction | int, twist: FermatTwist, a: int, b: int
-) -> tuple[Fraction, Fraction]:
-    """Image of (x:y:1) under (x:y:1) -> (X, Y) = (x^n, x^a y^b).
-
-    Verifies the exact identity B^(b/d) Y^(n/d) = X^(a/d) (C - A X)^(b/d)
-    with d = gcd(n, a, b); a failure is an implementation bug trap.
-    """
-    if a < 1 or b < 1:
-        raise FermatError("need exponents a, b >= 1")
-    x, y = Fraction(x), Fraction(y)
-    n = twist.n
-    if twist.A * x**n + twist.B * y**n != twist.C:
-        raise FermatError("point is not on the z = 1 chart of the twist")
-    d = gcd(gcd(n, a), b)
-    X = x**n
-    Y = x**a * y**b
-    lhs = Fraction(twist.B) ** (b // d) * Y ** (n // d)
-    rhs = X ** (a // d) * (twist.C - twist.A * X) ** (b // d)
-    if lhs != rhs:
-        raise AssertionError("quotient image fails the quotient-curve equation")
-    return X, Y

@@ -13,19 +13,13 @@ preparation:
 
 The tail of the infinite quantifier is closed by the increasing function
 x - log_p(x), compared exactly in integer arithmetic (p^(x-c) vs x).
-
-The module also evaluates the closed-form point bounds that consume
-these indices: the aggregate residue-class bound |U| + (p-1)(2g-2)/(p-2),
-the good-reduction bound q - 1 + 2g(sqrt(q)+1), and the rank-zero
-identity bound.
+zero_bound turns the two indices into the branch bound on the zero count.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from thuecc.bounds import chabauty_residue_bound
 from thuecc.padic import INF
 from thuecc.polyutil import vp
 
@@ -144,26 +138,3 @@ def zero_bound(seq: CoeffValuationSeq) -> ZeroBoundReport:
             f"zero index {zi} exceeds branch bound {bound}: input violates integrality"
         )
     return ZeroBoundReport(iu, zi, bound, branch)
-
-
-def chabauty_aggregate_bound(u_size: int, g: int, p: int) -> int:
-    """floor(|U| + (p-1)(2g-2)/(p-2)); point counts are whole numbers."""
-    if p * p <= 2 * g + 1:
-        raise ValueError(f"requires p^2 > 2g+1 (p={p}, g={g})")
-    return math.floor(chabauty_residue_bound(g, p, u_size))
-
-
-def coleman_bound(q: int, g: int) -> int:
-    """floor(q - 1 + 2g(sqrt(q) + 1)), sqrt handled in integer arithmetic.
-
-    Applies to good reduction over an unramified completion with
-    p > 2g; those hypotheses are asserted by the caller.
-    """
-    return q - 1 + 2 * g + math.isqrt(4 * g * g * q)
-
-
-def rank_zero_bound(ns_points: int) -> int:
-    """With Chabauty rank 0, |X(K)| is at most the count of nonsingular
-    special-fiber points; identity passthrough."""
-    return ns_points
-

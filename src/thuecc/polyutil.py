@@ -59,25 +59,6 @@ def scale(f, c: int) -> IntPoly:
     return trim(tuple(c * a for a in f))
 
 
-def divmod_monic(f, g) -> tuple[IntPoly, IntPoly]:
-    """Quotient and remainder of f by a monic g over the integers.
-
-    Division by a monic polynomial commutes with reduction mod any m, so
-    callers working mod m reduce both results with poly_mod.
-    """
-    assert g and g[-1] == 1
-    r = list(trim(f))
-    dg = len(g) - 1
-    q = [0] * max(len(r) - dg, 0)
-    for k in range(len(q) - 1, -1, -1):
-        c = r[k + dg]
-        if c:
-            q[k] = c
-            for i, gc in enumerate(g):
-                r[k + i] -= c * gc
-    return trim(q), trim(r[:dg])
-
-
 def content(f) -> int:
     """gcd of the coefficients (0 for the zero polynomial)."""
     g = 0

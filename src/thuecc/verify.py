@@ -3,7 +3,8 @@
 verify_instance checks the primitive solutions in a box against the
 bounds at p and, at the smallest prime p > n dividing h, against v(b) =
 0, w = u_m, equal depths per deepest root and the census additive term
-s*p or s*n*p.  A skipped check carries its reason and is never a pass.
+s*p or s*n*p.  When the roots cannot be tracked there, w = u_m runs in
+profile mode.  A skipped check carries its reason and is never a pass.
 """
 
 from __future__ import annotations
@@ -80,15 +81,17 @@ def _chart_checks(inst: ThueInstance, sols: en.SolutionSet, p: int, precision):
     msols = [(x, y - u * x) for x, y in sols.solutions]
     ok_vb = all(padic.check_vb_zero(a, b, minst, p) for a, b in msols)
     checks = [_check("v_p(b)_zero", ok_vb, f"all {len(msols)} solutions at p={p}")]
+    w = polyutil.vp(minst.h, p)
     try:
         precision = precision or padic.default_precision(minst, p)
         tracked = padic.hensel_track_roots(minst.shape, p, precision)
     except (padic.RamifiedCase, ValueError) as exc:
         checks.append(Check("tracked_mode", "skipped", str(exc)))
+        for a, b in msols:
+            checks.append(_profile_chart_check(minst, a, b, p, w))
         if msols:
             checks.append(_census_check(minst, msols, sols.box, p, None))
         return checks, []
-    w = polyutil.vp(minst.h, p)
     by_argmax: dict[int, list] = {}
     charts = []
     for a, b in msols:
@@ -105,6 +108,18 @@ def _chart_checks(inst: ThueInstance, sols: en.SolutionSet, p: int, precision):
     if charts:
         checks.append(_census_check(minst, msols, sols.box, p, tracked))
     return checks, charts
+
+
+def _profile_chart_check(minst: ThueInstance, a: int, b: int, p: int, w: int) -> Check:
+    """w = u_m from the valuation multiset alone, which identifies the
+    deepest root only when the largest depth t is attained once."""
+    name = f"w_equals_um({a},{b})"
+    try:
+        chart = ch.chart_from_profile(padic.solution_valuations(a, b, minst, p), w)
+    except ch.AmbiguousArgmax as exc:
+        return Check(name, "skipped", str(exc))
+    detail = f"w={chart.w} u_m={chart.u_seq[-1]}, profile mode"
+    return _check(name, ch.verify_w_equals_um(chart), detail)
 
 
 def _census_check(minst: ThueInstance, msols, box, p: int, tracked) -> Check:

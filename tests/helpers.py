@@ -1,6 +1,7 @@
 """Shared test utilities: random instance generators and independent
 oracles (brute-force Z_p root counting, partition enumeration, Sylvester
-resultants, products over root differences, factoring over Q)."""
+resultants, products over root differences, factoring over Q, the
+jacobian decomposition under the order-n automorphism)."""
 
 from __future__ import annotations
 
@@ -8,6 +9,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import sympy
+from sympy import ZZ
+from sympy.polys.densearith import dup_div
 
 from thuecc import polyutil
 from thuecc.enumerate import _product_form_coeffs
@@ -201,3 +204,56 @@ def rational_factors(f) -> list[tuple[int, ...]]:
     as an ascending tuple, from sympy's ``Poly.factor_list``."""
     _, factors = sympy.Poly(list(reversed(f)), sympy.Symbol("x")).factor_list()
     return [tuple(int(c) for c in reversed(q.all_coeffs())) for q, _ in factors]
+
+
+def divmod_monic(f, g) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder of ascending integer polynomials by a monic
+    g, from sympy's dense dup_div."""
+    q, r = dup_div(polyutil.to_dense(f), polyutil.to_dense(g), ZZ)
+    return polyutil.from_dense(q), polyutil.from_dense(r)
+
+
+def automorphism_char_poly(n: int, multiplicities) -> tuple[int, ...]:
+    """Characteristic polynomial of the order-n automorphism on homology.
+
+    For the smooth model of y^n = f(x) with n | deg f and multiplicity
+    vector (n_1..n_s): phi(t)^(s-2) divided exactly by the product of
+    (t^gcd(n,n_i) - 1)/(t - 1); phi(t) = (t^n - 1)/(t - 1).  Its degree
+    is 2g.  Ascending coefficients.
+    """
+    mults = tuple(multiplicities)
+    s = len(mults)
+    if s < 2:
+        raise ValueError("need at least two roots")
+    if sum(mults) % n != 0:
+        raise ValueError("multiplicities must sum to a multiple of n")
+    phi = (1,) * n  # (t^n - 1)/(t - 1)
+    num = (1,)
+    for _ in range(s - 2):
+        num = polyutil.mul(num, phi)
+    for m in mults:
+        d = gcd(n, m)
+        if d > 1:
+            num, rem = divmod_monic(num, (1,) * d)
+            if rem:
+                raise ValueError("division leaves a remainder: input outside the hypotheses")
+    return num
+
+
+def isotypic_dimension(n: int, d: int, s: int, multiplicities=None) -> int:
+    """Dimension phi(d)(s-2)/2 of the level-d isotypic piece of the
+    jacobian; it must be an integer.
+
+    Requires d | n and, when multiplicities are supplied, d > gcd(n,n_i)
+    for every i (the piece can degenerate below that threshold).
+    """
+    if d <= 1 or n % d != 0:
+        raise ValueError("need d | n with d > 1")
+    if multiplicities is not None:
+        for m in multiplicities:
+            if d <= gcd(n, m):
+                raise ValueError(f"d={d} not above gcd(n,{m})")
+    val = Fraction(int(sympy.totient(d)) * (s - 2), 2)
+    if val.denominator != 1:
+        raise ValueError(f"non-integral dimension {val}: hypotheses violated")
+    return int(val)

@@ -1,5 +1,6 @@
 import csv
 import io
+import math
 import random
 from fractions import Fraction
 from math import gcd
@@ -7,24 +8,18 @@ from math import gcd
 import pytest
 import sympy
 
-from helpers import partitions, product_form
+from helpers import automorphism_char_poly, isotypic_dimension, partitions, product_form
 from thuecc import cli, polyutil
 from thuecc.bounds import (
     BoundError,
     PrimeCase,
     RankHypothesis,
-    automorphism_char_poly,
     bertrand_prime,
-    bound_case_a,
-    bound_case_b,
-    bound_case_c,
-    bound_case_d,
     case_bound,
+    chabauty_residue_bound,
     classify_prime,
     global_bound,
-    isotypic_dimension,
     main_bounds,
-    projection_point_bound,
     rank_threshold,
     refined_bounds,
     refined_bounds_degree_pm1,
@@ -60,12 +55,19 @@ def test_bertrand_prime():
 
 
 def test_residue_bounds():
-    assert bound_case_b(3, 5, 4).exact == Fraction(16, 3) + 20
-    assert bound_case_b(3, 5, 4).floor == 25
-    assert bound_case_d(3, 5, 4, 4).floor == 85
-    assert bound_case_c(3, 5, 16).floor == 21
-    e = bound_case_a(3, 5, 0)
-    assert "X(Q) empty" in e.flags
+    # g = 3, p = 5, s = 4: the classes s*p of case b, s*n*p of case d
+    # and an affine count of 16 in case c
+    assert chabauty_residue_bound(3, 5, 4 * 5) == Fraction(16, 3) + 20
+    assert math.floor(chabauty_residue_bound(3, 5, 4 * 5)) == 25
+    assert math.floor(chabauty_residue_bound(3, 5, 4 * 4 * 5)) == 85
+    assert math.floor(chabauty_residue_bound(3, 5, 16)) == 21
+    assert math.floor(chabauty_residue_bound(2, 5, 10)) == 12
+    assert math.floor(chabauty_residue_bound(3, 7, 0)) == 4
+    # p > 2g: the floor of the residue term is at most 2g - 2
+    for g, p in ((2, 5), (3, 7), (5, 11)):
+        assert math.floor(chabauty_residue_bound(g, p, 0)) <= 2 * g - 2
+    with pytest.raises(BoundError):
+        chabauty_residue_bound(2, 2, 0)
 
 
 def test_residue_bound_monotonicity():
@@ -73,9 +75,14 @@ def test_residue_bound_monotonicity():
         for p in (5, 7, 11):
             prev = -1
             for count in range(0, 30, 3):
-                b = bound_case_a(g, p, count)
-                assert b.floor >= prev
-                prev = b.floor
+                b = math.floor(chabauty_residue_bound(g, p, count))
+                assert b >= prev
+                prev = b
+    # larger g raises the term, a larger p lowers it
+    for g in range(2, 6):
+        for p in (7, 11, 13):
+            assert chabauty_residue_bound(g, p, 5) <= chabauty_residue_bound(g + 1, p, 5)
+            assert chabauty_residue_bound(g, 13, 5) <= chabauty_residue_bound(g, 7, 5)
 
 
 def test_global_and_case_formulas():
@@ -132,12 +139,6 @@ def test_majorization_is_surfaced_not_assumed():
     assert not any("majorization" in note for note in rep7.notes)
 
 
-def test_projection_point_bound():
-    assert projection_point_bound(4, 5, True) == 18
-    assert projection_point_bound(4, 5, False) == 20
-    assert projection_point_bound(2, 5, True) == 6
-
-
 def test_refined_prime_degree_values():
     hyp = RankHypothesis("mw_lt_threshold", 1)
     r = refined_bounds_prime_degree(5, 2, PrimeCase(11, False, False), hyp)
@@ -188,7 +189,7 @@ def test_char_poly_examples():
     # s = 2 degenerate: char = 1, degree 0 = 2g
     assert automorphism_char_poly(4, (1, 3)) == (1,)
     # perfect-power multiplicities fall outside the hypotheses
-    with pytest.raises(BoundError):
+    with pytest.raises(ValueError):
         automorphism_char_poly(4, (2, 2))
 
 
@@ -215,14 +216,14 @@ def test_char_poly_degree_matches_genus():
             continue
         try:
             cp = automorphism_char_poly(n, parts)
-        except BoundError:
+        except ValueError:
             continue
         assert polyutil.degree(cp) == 2 * g, (n, parts)
         checked += 1
 
 
 def test_char_poly_rejects_bad_sum():
-    with pytest.raises(BoundError):
+    with pytest.raises(ValueError):
         automorphism_char_poly(4, (1, 1, 1))
 
 
@@ -231,11 +232,11 @@ def test_isotypic_dimensions():
     assert isotypic_dimension(4, 4, 4) == 2
     assert isotypic_dimension(4, 2, 4) == 1
     assert isotypic_dimension(7, 7, 3) == 3
-    with pytest.raises(BoundError):
+    with pytest.raises(ValueError):
         isotypic_dimension(4, 3, 4)  # 3 does not divide 4
-    with pytest.raises(BoundError):
+    with pytest.raises(ValueError):
         isotypic_dimension(5, 5, 3, multiplicities=(5, 5))
-    with pytest.raises(BoundError):
+    with pytest.raises(ValueError):
         isotypic_dimension(4, 2, 3)  # phi(2)(s-2)/2 = 1/2 non-integral
 
 
@@ -258,7 +259,7 @@ def test_isotypic_decomposition_sums_to_genus():
         if total != n or len(parts) < 3:
             continue
         s = len(parts)
-        g = (n * (s - 2) - s + 2) // 2
+        g = genus(factor_shape(product_form(list(range(s)), parts)), n)
         dims = sum(
             isotypic_dimension(n, d, s, multiplicities=parts)
             for d in sympy.divisors(n)

@@ -8,14 +8,10 @@ from thuecc.charts import (
     SELF,
     AmbiguousArgmax,
     ChartError,
-    SpecialFiberShape,
     build_chart,
     chart_from_profile,
     chart_from_tracked,
     check_common_root_depth,
-    disk_partition,
-    fiber_affine_points,
-    special_fiber_shape,
     verify_w_equals_um,
 )
 from thuecc.enumerate import primitive_solutions
@@ -175,98 +171,6 @@ def test_counterexample_family_higher_multiplicity():
     assert inst.irreducible
     with pytest.raises(ValueError):
         solution_valuations(5, 0, inst, p)
-
-
-def test_disk_partition_merges_close_roots():
-    c0 = build_chart(2, [(2, 1, 1), (0, 1, 2)], 1, 4, root_index=0)
-    c1 = build_chart(2, [(2, 1, 0), (0, 1, 2)], 1, 4, root_index=1)
-    c2 = build_chart(1, [(0, 1, 0), (0, 1, 1)], 1, 1, root_index=2)
-    pairwise = {(0, 1): 2, (0, 2): 0, (1, 2): 0}
-    part = disk_partition(pairwise, [c0, c1, c2])
-    assert part.blocks == ((0, 1), (2,))
-    assert part.merged == (True, False)
-    assert part.consistent
-    # order independence
-    part2 = disk_partition(pairwise, [c2, c1, c0])
-    assert part2.blocks == part.blocks
-
-
-def test_disk_partition_flags_depth_mismatch():
-    c0 = build_chart(2, [(3, 1, 1)], 1, 2, root_index=0)
-    c1 = build_chart(1, [(3, 1, 0)], 1, 1, root_index=1)
-    part = disk_partition({(0, 1): 3}, [c0, c1])
-    assert part.blocks == ((0, 1),)
-    assert not part.consistent
-
-
-def test_disk_partition_on_enumerated_charts():
-    rng = random.Random(107)
-    for p in (5, 7):
-        inst, _ = random_tracked_instance(rng, p)
-        tracked = hensel_track_roots(inst.shape, p, default_precision(inst, p))
-        sols = primitive_solutions(inst, 45)
-        w = polyutil.vp(inst.h, p)
-        charts = {}
-        for a, b in sols.solutions:
-            prof = solution_valuations(a, b, inst, p, tracked)
-            ch = chart_from_tracked(prof, tracked, w)
-            charts[ch.root_index] = ch
-        charts = list(charts.values())
-        seen = sorted(c.root_index for c in charts)
-        by_index = {r.index: r for r in tracked.roots}
-        pairwise = {
-            (i, j): tracked.root_difference(by_index[i], by_index[j])
-            for i in seen
-            for j in seen
-            if i < j
-        }
-        part = disk_partition(pairwise, charts)
-        assert part.consistent
-        assert len(part.blocks) <= inst.n
-
-
-def test_disk_partition_empty():
-    part = disk_partition({}, [])
-    assert part.blocks == ()
-    assert part.consistent
-
-
-def test_special_fiber_shapes():
-    inst = ThueInstance.build(product_form([0, 5, 30], [1, 1, 1]), -2500)
-    chart, tracked = chart_for(inst, (25, 1), 5)
-    fiber = special_fiber_shape(chart, inst.n, tracked, inst.h)
-    assert fiber.distinct_roots == 1
-    assert fiber.weighted_degree == 1
-    assert fiber.cofactor_exponent == 2
-    # u y^2 * unit = mu has (p-1) affine points (u determined by y != 0)
-    assert fiber_affine_points(fiber, 5) == 4
-
-    # single cluster containing all roots: exponent n - n = 0
-    form = product_form([0, 25], [1, 1])
-    h = form(50, 1)
-    inst2 = ThueInstance.build(form, h)
-    chart2, tr2 = chart_for(inst2, (50, 1), 5)
-    fiber2 = special_fiber_shape(chart2, 2, tr2, h)
-    assert fiber2.weighted_degree == 2
-    assert fiber2.cofactor_exponent == 0
-
-
-def test_fiber_affine_points_brute_oracle():
-    rng = random.Random(113)
-    for _ in range(60):
-        p = rng.choice([3, 5, 7, 11])
-        d, c = rng.randint(1, 4), rng.randint(0, 3)
-        f = tuple(rng.randrange(p) for _ in range(d)) + (1,)
-        unit, mu = rng.randrange(1, p), rng.randrange(p)
-        fiber = SpecialFiberShape(1, d, c, fiber_poly=f, unit=unit, mu=mu)
-        expect = sum(
-            1
-            for u in range(p)
-            for y in range(p)
-            if (unit * y**c * sum(a * u**k * y ** (d - k) for k, a in enumerate(f)) - mu) % p
-            == 0
-        )
-        assert fiber_affine_points(fiber, p) == expect
 
 
 def test_chart_t_infinite_rejected():

@@ -145,6 +145,13 @@ def test_input_errors(tmp_path, capsys):
     no_h = tmp_path / "no_h.jsonl"
     no_h.write_text('{"coeffs": [1, 0, 0, 0, 1]}\n')
     assert main(["bound", "--corpus", str(no_h)]) == 3
+    latin1 = tmp_path / "latin1.jsonl"
+    latin1.write_bytes(b'{"coeffs": [1, 0, 0, 0, 1], "h": 17}\n{"note": "\xe9"}\n')
+    assert main(["analyze", "--corpus", str(latin1)]) == 3
+    assert f"{latin1}: not UTF-8 text" in capsys.readouterr().err
+    missing_dir = tmp_path / "missing" / "out.json"
+    assert main(["analyze", "--F", "1,0,0,0,1", "--h", "17", "--out", str(missing_dir)]) == 3
+    assert "No such file or directory" in capsys.readouterr().err
     assert main(["fermat", "check", "--n", "4", "--p", "5"]) == 3  # no --A/--B/--C
     assert main(["fermat", "construct", "--t1", "1,2", "--t2", "2,1,1", "--n", "3"]) == 3
     assert main(["fermat", "orbit", "--n", "4"]) == 3  # no --t

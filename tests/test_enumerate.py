@@ -1,6 +1,5 @@
 import random
-from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,13 +11,11 @@ from thuecc.bounds import classify_prime
 from thuecc.enumerate import (
     SearchBox,
     affine_point_count,
-    classify_p_integral_points,
     count_affine_points_mod_p,
     count_projective_smooth,
     default_box,
     primitive_solutions,
     product_form_family,
-    product_form_family_extra,
     residue_class_census,
     root_table,
     scan_stripe,
@@ -411,13 +408,6 @@ def test_product_family_rejects_repeats():
         product_form_family([1, 1, 2], 5)
 
 
-def test_product_family_extra_solution():
-    inst, certified = product_form_family_extra([0, 1, 2], 2)
-    assert (1, 2) in certified
-    found = set(primitive_solutions(inst, 10).solutions)
-    assert set(certified) <= found
-
-
 def test_product_family_enumerator_box():
     # certified solutions always inside box max(|a_i|, q)
     rng = random.Random(59)
@@ -428,25 +418,3 @@ def test_product_family_enumerator_box():
         box = max(max(abs(a) for a in a_list), 1)
         found = set(primitive_solutions(inst, box).solutions)
         assert set(certified) <= found
-
-
-def test_classify_p_integral_points():
-    inst = ThueInstance.build(BinaryForm.from_coeffs([1, 0, 0, 0, 1]), 17)
-    pts = [(1, 2, 1), (5, 10, 1), (1, 2, 5), (3, 5, 25)]
-    # normalize: (5,10,1) has gcd 5 with... gcd(5,10,1)=1, fine
-    out = classify_p_integral_points(pts, inst, 5)
-    kinds = [(cls.kind, cls.level) for _, cls in out]
-    assert kinds == [
-        ("unit_z", 0),
-        ("unit_z", 1),
-        ("divided_z", 1),
-        ("divided_z", 2),
-    ]
-    assert out[1][1].target_h == Fraction(17, 5**4)
-    assert out[2][1].target_h == Fraction(17 * 5**4)
-
-
-def test_classify_rejects_unnormalized():
-    inst = ThueInstance.build(BinaryForm.from_coeffs([1, 0, 0, 0, 1]), 17)
-    with pytest.raises(ValueError):
-        classify_p_integral_points([(5, 10, 5)], inst, 5)

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,11 +10,9 @@ from thuecc.fermat import (
     FermatTwist,
     SolutionTriple,
     equivalence,
-    infinite_order_construction,
     materialize_orbit,
     nonequivalent_classes,
     orbit_count,
-    quotient_map,
     search_triples,
     solve_coefficients,
     unique_triple_check,
@@ -156,20 +153,11 @@ def test_unique_triple_requires_p_coprime_AB():
 
 
 def test_infinite_order_construction():
-    rep = infinite_order_construction(SolutionTriple(1, 2, 3), 7, 4)
-    assert rep.twist.satisfied_by(rep.t1)
-    assert rep.twist.satisfied_by(rep.t2)
-    assert rep.q_coprime_to_coeffs
-    assert rep.t2 == SolutionTriple(8, 9, 10)
-
-
-def test_infinite_order_preconditions():
-    with pytest.raises(FermatError):
-        infinite_order_construction(SolutionTriple(7, 2, 3), 7, 4)  # q | x1
-    with pytest.raises(FermatError):
-        infinite_order_construction(SolutionTriple(1, 2, 3), 4, 4)  # q not prime
-    with pytest.raises(FermatError):
-        infinite_order_construction(SolutionTriple(1, 2, 3), 3, 9)  # q | n
+    # the twist through t1 and its shift t1 + (q,q,q) has q coprime to ABC
+    t1, t2 = SolutionTriple(1, 2, 3), SolutionTriple(8, 9, 10)
+    tw = solve_coefficients(t1, t2, 4)
+    assert tw.satisfied_by(t1) and tw.satisfied_by(t2)
+    assert (tw.A * tw.B * tw.C) % 7 != 0
 
 
 def test_infinite_order_randomized():
@@ -183,42 +171,9 @@ def test_infinite_order_randomized():
         bad = t1.x * t1.y * t1.z * (t1.x - t1.y) * (t1.x - t1.z) * (t1.y - t1.z)
         if bad % q == 0 or n % q == 0:
             continue
-        rep = infinite_order_construction(t1, q, n)
-        assert (rep.twist.A * rep.twist.B * rep.twist.C) % q != 0
+        tw = solve_coefficients(t1, SolutionTriple(t1.x + q, t1.y + q, t1.z + q), n)
+        assert (tw.A * tw.B * tw.C) % q != 0
         done += 1
-
-
-def test_quotient_map_example():
-    X, Y = quotient_map(1, 2, FermatTwist(1, 1, 9, 3), 1, 1)
-    assert (X, Y) == (1, 2)
-    # the image satisfies Y^3 = X (9 - X)
-    assert Y**3 == X * (9 - X)
-
-
-def test_quotient_map_trivial_x():
-    # x = 0 needs B y^n = C: point (0, 1) on x^2 + y^2 = 1
-    X, Y = quotient_map(0, 1, FermatTwist(1, 1, 1, 2), 1, 1)
-    assert X == 0 and Y == 0
-
-
-def test_quotient_map_gcd_reduction():
-    # n=4, a=2, b=2, d=2: exponents halve
-    tw = FermatTwist(1, 1, 2, 4)
-    X, Y = quotient_map(1, 1, tw, 2, 2)
-    assert X == 1 and Y == 1
-
-
-def test_quotient_map_rational_points():
-    # rational points on x^2 + y^2 = 2: chord through (1,1) with slope t
-    rng = random.Random(91)
-    for _ in range(15):
-        t = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        den = 1 + t * t
-        x = (t * t - 2 * t - 1) / den
-        y = (1 - 2 * t - t * t) / den
-        assert x * x + y * y == 2
-        X, Y = quotient_map(x, y, FermatTwist(1, 1, 2, 2), 1, 1)
-        assert Y**2 == X * (2 - X)
 
 
 def test_nonequivalent_classes():

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -8,11 +7,8 @@ from thuecc.newton_zero import (
     INF,
     CoeffValuationSeq,
     TruncationError,
-    chabauty_aggregate_bound,
-    coleman_bound,
     compare_rho_gt,
     first_unit_index,
-    rank_zero_bound,
     term_valuation,
     zero_bound,
     zero_count_index,
@@ -115,47 +111,6 @@ def test_zero_index_equals_last_argmin_and_polygon_count():
                 m for v, m in root_valuations(poly, p) if v == float("inf") or v >= 0
             )
             assert zi == in_disk, (seq.vals, p)
-
-
-def test_chabauty_aggregate_bound():
-    assert chabauty_aggregate_bound(10, 2, 5) == 12
-    assert chabauty_aggregate_bound(0, 3, 7) == 4
-    # p > 2g: floor adds at most 2g - 2
-    for g in (2, 3, 5):
-        p = 2 * g + 1
-        while True:
-            import sympy
-
-            if sympy.isprime(p):
-                break
-            p += 1
-        assert chabauty_aggregate_bound(0, g, p) <= 2 * g - 2
-
-
-def test_chabauty_aggregate_pre():
-    with pytest.raises(ValueError):
-        chabauty_aggregate_bound(0, 13, 5)  # p^2 <= 2g+1
-
-
-def test_chabauty_aggregate_monotonicity():
-    for g in range(2, 6):
-        for p in (7, 11, 13):
-            if p * p <= 2 * g + 1:
-                continue
-            assert chabauty_aggregate_bound(5, g, p) <= chabauty_aggregate_bound(6, g, p)
-            assert chabauty_aggregate_bound(5, g, p) <= chabauty_aggregate_bound(5, g + 1, p)
-            assert chabauty_aggregate_bound(5, g, 13) <= chabauty_aggregate_bound(5, g, 7)
-
-
-def test_coleman_bound():
-    assert coleman_bound(25, 2) == 48
-    assert coleman_bound(7, 3) == 27
-    assert coleman_bound(11, 0) == 10
-
-
-def test_rank_zero_bound():
-    assert rank_zero_bound(12) == 12
-    assert rank_zero_bound(0) == 0
 
 
 def test_term_valuation_floor_inequality():

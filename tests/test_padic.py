@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    divmod_monic,
     evaluate,
     form_value,
     product_form,
@@ -17,7 +18,7 @@ from helpers import (
 )
 from thuecc import polyutil
 from thuecc.enumerate import primitive_solutions
-from thuecc.forms import BinaryForm, FormShape, ThueInstance, factor_shape, monicize
+from thuecc.forms import BinaryForm, FormShape, ThueInstance, factor_shape
 from thuecc.padic import (
     INF,
     RamifiedCase,
@@ -201,7 +202,7 @@ def test_hensel_lifted_roots_satisfy_minpoly():
                 # the lifted factor divides its minimal polynomial mod p^prec
                 lc_inv = pow(r.minpoly[-1], -1, p**prec)
                 monic = tuple(c * lc_inv % p**prec for c in r.minpoly)
-                _, rem = polyutil.divmod_monic(monic, r.factor)
+                _, rem = divmod_monic(monic, r.factor)
                 assert not polyutil.poly_mod(rem, p**prec)
         done += 1
 

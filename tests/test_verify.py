@@ -8,7 +8,7 @@ from thuecc.bounds import RankHypothesis
 from thuecc.cli import main
 from thuecc.enumerate import primitive_solutions
 from thuecc.forms import BinaryForm, ThueInstance
-from thuecc.verify import verify_instance
+from thuecc.verify import Check, verify_instance
 
 CHABAUTY = RankHypothesis("chabauty_lt_g")
 
@@ -35,8 +35,22 @@ def test_ramified_tracking_is_skipped_not_passed(capsys):
     assert checks["tracked_mode"].status == "skipped"
     assert checks["census_additive_term"].status == "ok"
     assert checks["census_additive_term"].detail == "1 classes <= 63 (case d, depth granularity)"
+    # the profile of (0, -1) attains its largest depth at all three roots
+    assert checks["w_equals_um(0,-1)"].status == "skipped"
+    assert checks["w_equals_um(0,-1)"].detail == (
+        "maximum valuation attained 3 times; tracked mode required"
+    )
     assert main(["verify", "--F=1,0,0,-7", "--h", "7"]) == 0
     capsys.readouterr()
+    # a unique deepest root: w = u_m is checked in profile mode
+    res = verify_instance(build([3, -4, 5, -9, -9, 3], -21), 7, 20, None)
+    checks = {c.name: c for c in res.checks}
+    assert checks["tracked_mode"].status == "skipped"
+    assert res.solutions.solutions == ((-2, -1),)
+    assert checks["w_equals_um(-2,-1)"] == Check(
+        "w_equals_um(-2,-1)", "ok", "w=1 u_m=1, profile mode"
+    )
+    assert res.ledgers == ()
 
 
 def test_no_chart_prime_is_skipped():
