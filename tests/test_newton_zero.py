@@ -1,8 +1,10 @@
+import math
 import random
 
 import pytest
 
 from helpers import certified_zp_roots, random_valuation_seq, realize_series
+from thuecc.bounds import chabauty_residue_bound
 from thuecc.newton_zero import (
     INF,
     CoeffValuationSeq,
@@ -111,6 +113,27 @@ def test_zero_index_equals_last_argmin_and_polygon_count():
                 m for v, m in root_valuations(poly, p) if v == float("inf") or v >= 0
             )
             assert zi == in_disk, (seq.vals, p)
+
+
+def aggregate(u_size, g, p):
+    # point counts are whole numbers: the floor of |U| + (p-1)(2g-2)/(p-2)
+    return math.floor(chabauty_residue_bound(g, p, u_size))
+
+
+def test_chabauty_aggregate_bound():
+    assert aggregate(10, 2, 5) == 12
+    assert aggregate(0, 3, 7) == 4
+    # p > 2g: the floor adds at most 2g - 2
+    for g, p in ((2, 5), (3, 7), (5, 11)):
+        assert aggregate(0, g, p) <= 2 * g - 2
+
+
+def test_chabauty_aggregate_monotonicity():
+    for g in range(2, 6):
+        for p in (7, 11, 13):
+            assert aggregate(5, g, p) <= aggregate(6, g, p)
+            assert aggregate(5, g, p) <= aggregate(5, g + 1, p)
+            assert aggregate(5, g, 13) <= aggregate(5, g, 7)
 
 
 def test_term_valuation_floor_inequality():
