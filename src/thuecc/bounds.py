@@ -145,12 +145,6 @@ class BoundReport:
     hypothesis: RankHypothesis | None
     notes: tuple[str, ...] = field(default=())
 
-    def entry(self, name: str) -> BoundEntry:
-        for e in self.entries:
-            if e.name == name:
-                return e
-        raise KeyError(name)
-
 
 # ---------------------------------------------------------------------------
 # The Chabauty residue term

@@ -12,12 +12,18 @@ arithmetic.
 
 Every evaluation of a binary form over F_q (the sieve tables, the
 affine and projective point counts) goes through one Horner sweep of
-F(1, t), _value_buckets; _rows reads from it the roots in y for every
-x mod q, which root_table sorts and the counts only sum.
+F(1, t), _value_buckets, which groups the t by the value F(1, t).  The
+sieve tables read from it the roots in y for every x mod q (_rows,
+sorted by root_table).  The point counts read it line by line: the
+affine points off the origin lie on the lines (l, l t) and (0, l), and
+on a line of F-value v != 0 the equation l^n v = h has d = gcd(n, q - 1)
+solutions when v / h is a d-th power and none otherwise, so one table of
+the d-th powers mod q replaces a pass over the rows (_line_counts).
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import gcd, isqrt
 
@@ -25,7 +31,7 @@ import sympy
 
 from thuecc import polyutil
 from thuecc.forms import BinaryForm, ThueInstance
-from thuecc.padic import TrackedRoots, solution_valuations
+from thuecc.padic import SolutionValuationProfile, TrackedRoots
 
 
 @dataclass(frozen=True)
@@ -105,7 +111,33 @@ def root_table(coeffs, h: int, q: int) -> list[list[int]]:
 
 def affine_point_count(coeffs, h: int, q: int) -> int:
     """Number of (x, y) in F_q^2 with sum_i coeffs[i] x^(n-i) y^i = h mod q."""
-    return sum(map(len, _rows(coeffs, h, q, _value_buckets(coeffs, q))))
+    return _line_counts(coeffs, h, q)[0]
+
+
+def _line_counts(coeffs, h: int, q: int) -> tuple[int, int]:
+    """(affine, zeros) from one sweep of F(1, t), q prime: the points of
+    F(x, y) = h in F_q^2, and the points of F = 0 on the projective line,
+    (1:t) for F(1, t) = 0 plus (0:1) when q | c_n.
+
+    Every affine point other than the origin is (l, l t) or (0, l) for
+    one l != 0, and F takes the value l^n v there, v = F(1, t) or c_n.
+    For q | h a line of value 0 holds q - 1 points and any other line
+    none; the origin adds one.  Otherwise l^n = h / v has d = gcd(n,
+    q - 1) roots when v / h is a nonzero d-th power and none otherwise.
+    """
+    n = len(coeffs) - 1
+    buckets = _value_buckets(coeffs, q)
+    zeros = len(buckets.get(0, ())) + (coeffs[-1] % q == 0)
+    if h % q == 0:
+        return 1 + (q - 1) * zeros, zeros
+    d = gcd(n, q - 1)
+    power = bytearray(q)  # power[r] = 1 iff r is a nonzero d-th power
+    for x in range(1, q):
+        power[x**d % q] = 1
+    h_inv = pow(h, -1, q)
+    lines = sum(len(ts) for v, ts in buckets.items() if power[v * h_inv % q])
+    lines += power[coeffs[-1] * h_inv % q]
+    return d * lines, zeros
 
 
 def _rows(coeffs, h: int, q: int, buckets):
@@ -169,15 +201,9 @@ def count_projective_smooth(instance: ThueInstance, p: int) -> int:
         raise ValueError("smooth count requires n distinct finite roots")
     if instance.h % p == 0 or polyutil.vp_frac(instance.dstar, p) != 0:
         raise ValueError("smooth count requires p coprime to h*d*(F)")
-    # one sweep of F(1, t) gives the affine points and the points at
-    # infinity: z = 0, F(x,y) = 0 on the projective line, as (1:y) for
-    # y in F_p plus (0:1) when F(0,1) = 0
-    coeffs = instance.form.coeffs
-    buckets = _value_buckets(coeffs, p)
-    count = sum(map(len, _rows(coeffs, instance.h, p, buckets)))
-    count += len(buckets.get(0, ()))
-    if coeffs[-1] % p == 0:
-        count += 1
+    # the points at infinity (z = 0) are the zeros of F on the projective line
+    affine, at_infinity = _line_counts(instance.form.coeffs, instance.h, p)
+    count = affine + at_infinity
     g = instance.genus
     if count > 0 and count > (n - 1) * (p + 1):
         raise AssertionError("projective count exceeds the projection bound")
@@ -210,31 +236,32 @@ class Census:
 
 
 def residue_class_census(
-    solutions: SolutionSet,
+    profiles: Sequence[SolutionValuationProfile],
     instance: ThueInstance,
     p: int,
     tracked: TrackedRoots | None,
 ) -> Census:
-    """Census of reduction classes of primitive solutions, p | h."""
+    """Census of reduction classes of primitive solutions, p | h, read
+    off their valuation profiles at p (solution_valuations with the same
+    tracked roots, or none)."""
     if instance.h % p != 0:
         raise ValueError("census requires p | h")
-    keys = set()
+    if any(prof.p != p or prof.tracked != (tracked is not None) for prof in profiles):
+        raise ValueError("census profiles must be taken at p, in the census's mode")
     if tracked is None:
-        for a, b in solutions.solutions:
-            prof = solution_valuations(a, b, instance, p)
-            keys.add((prof.t,))
-        return Census(solutions.instance_id, p, tuple(sorted(keys)), "depth")
+        keys = {(prof.t,) for prof in profiles}
+        return Census(instance.instance_id(), p, tuple(sorted(keys)), "depth")
+    keys = set()
     pn = p**tracked.precision
     by_index = {r.index: r for r in tracked.roots}
-    for a, b in solutions.solutions:
-        prof = solution_valuations(a, b, instance, p, tracked)
+    for prof in profiles:
         root = by_index[prof.argmax_index]
         r = tracked.residue(root)
         t = int(prof.t)
-        mres = (a - r * b) % pn
+        mres = (prof.a - r * prof.b) % pn
         unit = (mres // p**t) % p
-        keys.add((root.index, t, unit, b % p))
-    return Census(solutions.instance_id, p, tuple(sorted(keys)), "full")
+        keys.add((root.index, t, unit, prof.b % p))
+    return Census(instance.instance_id(), p, tuple(sorted(keys)), "full")
 
 
 # ---------------------------------------------------------------------------

@@ -65,10 +65,6 @@ class BinaryForm:
         """F(x,1) as an ascending-coefficient integer polynomial."""
         return polyutil.trim(tuple(reversed(self.coeffs)))
 
-    def swapped(self) -> "BinaryForm":
-        """F(y,x)."""
-        return BinaryForm(self.degree, tuple(reversed(self.coeffs)))
-
     def __str__(self) -> str:
         n = self.degree
         terms = []

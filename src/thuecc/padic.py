@@ -341,19 +341,6 @@ class SolutionValuationProfile:
     argmax_tied: bool = False
     tracked: bool = False
 
-    def form_valuation(self, shape: FormShape) -> Val:
-        """v_p(F(a,b)) reconstructed from the profile."""
-        total: Val = Fraction(vp(shape.lead, self.p)) if shape.lead % self.p == 0 else Fraction(0)
-        for e in self.per_root:
-            if e.value == INF:
-                return INF
-            total += e.multiplicity * e.value
-        if shape.degree_deficit:
-            if self.vb == INF:
-                return INF
-            total += shape.degree_deficit * self.vb
-        return total
-
 
 def solution_valuations(
     a: int,

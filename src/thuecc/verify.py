@@ -87,15 +87,17 @@ def _chart_checks(inst: ThueInstance, sols: en.SolutionSet, p: int, precision):
         tracked = padic.hensel_track_roots(minst.shape, p, precision)
     except (padic.RamifiedCase, ValueError) as exc:
         checks.append(Check("tracked_mode", "skipped", str(exc)))
-        for a, b in msols:
-            checks.append(_profile_chart_check(minst, a, b, p, w))
-        if msols:
-            checks.append(_census_check(minst, msols, sols.box, p, None))
+        profs = [padic.solution_valuations(a, b, minst, p) for a, b in msols]
+        checks.extend(_profile_chart_check(prof, w) for prof in profs)
+        if profs:
+            checks.append(_census_check(minst, profs, p, None))
         return checks, []
     by_argmax: dict[int, list] = {}
     charts = []
+    profs = []
     for a, b in msols:
         prof = padic.solution_valuations(a, b, minst, p, tracked)
+        profs.append(prof)
         chart = ch.chart_from_tracked(prof, tracked, w)
         charts.append(chart)
         detail = f"w={chart.w} u_m={chart.u_seq[-1]}"
@@ -106,28 +108,26 @@ def _chart_checks(inst: ThueInstance, sols: en.SolutionSet, p: int, precision):
         t_values = ", ".join(map(str, rep.t_values))
         checks.append(_check(f"common_depth(root {idx})", rep.passed, f"t values {t_values}"))
     if charts:
-        checks.append(_census_check(minst, msols, sols.box, p, tracked))
+        checks.append(_census_check(minst, profs, p, tracked))
     return checks, charts
 
 
-def _profile_chart_check(minst: ThueInstance, a: int, b: int, p: int, w: int) -> Check:
+def _profile_chart_check(prof: padic.SolutionValuationProfile, w: int) -> Check:
     """w = u_m from the valuation multiset alone, which identifies the
     deepest root only when the largest depth t is attained once."""
-    name = f"w_equals_um({a},{b})"
+    name = f"w_equals_um({prof.a},{prof.b})"
     try:
-        chart = ch.chart_from_profile(padic.solution_valuations(a, b, minst, p), w)
+        chart = ch.chart_from_profile(prof, w)
     except ch.AmbiguousArgmax as exc:
         return Check(name, "skipped", str(exc))
     detail = f"w={chart.w} u_m={chart.u_seq[-1]}, profile mode"
     return _check(name, ch.verify_w_equals_um(chart), detail)
 
 
-def _census_check(minst: ThueInstance, msols, box, p: int, tracked) -> Check:
+def _census_check(minst: ThueInstance, profs, p: int, tracked) -> Check:
     """Census of the solutions' classes at p against s*p, or s*n*p when p
     divides d*; without tracked roots the classes are depths only."""
-    census = en.residue_class_census(
-        en.SolutionSet(minst.instance_id(), tuple(msols), box), minst, p, tracked
-    )
+    census = en.residue_class_census(profs, minst, p, tracked)
     case = bnd.classify_prime(minst, p)
     limit = minst.shape.s * (minst.n * p if case.divides_dstar else p)
     grain = ", depth granularity" if census.granularity == "depth" else ""

@@ -1,7 +1,8 @@
 """Shared test utilities: random instance generators and independent
 oracles (brute-force Z_p root counting, partition enumeration, Sylvester
 resultants, products over root differences, factoring over Q, the
-jacobian decomposition under the order-n automorphism)."""
+jacobian decomposition under the order-n automorphism, the swapped form,
+v_p(F(a, b)) from a valuation profile, a bound report's entry by name)."""
 
 from __future__ import annotations
 
@@ -106,6 +107,33 @@ def form_value(coeffs, x: int, y: int) -> int:
     coeffs in BinaryForm order; it shares no code with BinaryForm."""
     n = len(coeffs) - 1
     return sum(c * x ** (n - i) * y**i for i, c in enumerate(coeffs))
+
+
+def swapped(form: BinaryForm) -> BinaryForm:
+    """F(y, x)."""
+    return BinaryForm(form.degree, tuple(reversed(form.coeffs)))
+
+
+def form_valuation(prof, shape):
+    """v_p(F(a, b)) reconstructed from the valuation profile of (a, b):
+    v_p of the leading coefficient, each root's valuation times its
+    multiplicity, and v_p(b) for each root at infinity."""
+    total = Fraction(polyutil.vp(shape.lead, prof.p)) if shape.lead % prof.p == 0 else Fraction(0)
+    for e in prof.per_root:
+        if e.value == INF:
+            return INF
+        total += e.multiplicity * e.value
+    if shape.degree_deficit:
+        if prof.vb == INF:
+            return INF
+        total += shape.degree_deficit * prof.vb
+    return total
+
+
+def bound_entry(report, name: str):
+    """The entry of a bounds.BoundReport with the given name."""
+    (entry,) = [e for e in report.entries if e.name == name]
+    return entry
 
 
 def evaluate(f, x: int) -> int:

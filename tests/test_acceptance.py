@@ -13,6 +13,7 @@ import sympy
 
 from helpers import (
     automorphism_char_poly,
+    bound_entry,
     certified_zp_roots,
     isotypic_dimension,
     partitions,
@@ -94,8 +95,8 @@ def test_criterion_2_desk_instance():
     sols = primitive_solutions(inst, 100)
     assert len(sols) == 8
     rep = main_bounds(inst, 5, RankHypothesis("chabauty_lt_g"))
-    assert rep.entry("global_cubic").floor == 117
-    assert rep.entry("case_a").floor == 29
+    assert bound_entry(rep, "global_cubic").floor == 117
+    assert bound_entry(rep, "case_a").floor == 29
     assert len(sols) <= 29 <= 117
     assert count_affine_points_mod_p(inst, 5) == 16
     elapsed = time.perf_counter() - start
@@ -292,7 +293,8 @@ def test_criterion_8_residue_census():
         if not sols.solutions:
             continue
         tracked = hensel_track_roots(inst.shape, p, default_precision(inst, p))
-        census = residue_class_census(sols, inst, p, tracked)
+        profiles = [solution_valuations(a, b, inst, p, tracked) for a, b in sols.solutions]
+        census = residue_class_census(profiles, inst, p, tracked)
         s = inst.shape.s
         if case.case_tag == "b":
             assert census.count <= s * p

@@ -8,7 +8,13 @@ from math import gcd
 import pytest
 import sympy
 
-from helpers import automorphism_char_poly, isotypic_dimension, partitions, product_form
+from helpers import (
+    automorphism_char_poly,
+    bound_entry,
+    isotypic_dimension,
+    partitions,
+    product_form,
+)
 from thuecc import cli, polyutil
 from thuecc.bounds import (
     BoundError,
@@ -85,9 +91,9 @@ def test_main_bounds_desk_instance():
     inst = ThueInstance.build(BinaryForm.from_coeffs([1, 0, 0, 0, 1]), 17)
     rep = main_bounds(inst, 5, RankHypothesis("chabauty_lt_g"))
     assert rep.case.case_tag == "a"
-    assert rep.entry("case_a").floor == 29
-    assert rep.entry("global_cubic").floor == 117
-    assert not rep.entry("case_a").conditional
+    assert bound_entry(rep, "case_a").floor == 29
+    assert bound_entry(rep, "global_cubic").floor == 117
+    assert not bound_entry(rep, "case_a").conditional
 
 
 def test_main_bounds_requires_bertrand_range():

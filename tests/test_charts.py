@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from helpers import form_value, product_form, random_tracked_instance
+from helpers import form_value, form_valuation, product_form, random_tracked_instance
 from thuecc import polyutil
 from thuecc.charts import (
     SELF,
@@ -115,7 +115,7 @@ def test_w_equals_um_randomized():
                 chart = chart_from_tracked(prof, tracked, w)
                 assert verify_w_equals_um(chart), (inst.instance_id(), (a, b))
                 assert chart.u_seq == tuple(sorted(chart.u_seq))
-                assert chart.u_seq[-1] == prof.form_valuation(inst.shape)
+                assert chart.u_seq[-1] == form_valuation(prof, inst.shape)
 
 
 def test_common_depth_across_solutions():

@@ -1,5 +1,8 @@
+import json
 import random
+from collections import Counter
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -21,7 +24,9 @@ from thuecc.enumerate import (
     scan_stripe,
 )
 from thuecc.forms import BinaryForm, FormError, ThueInstance
-from thuecc.padic import default_precision, hensel_track_roots
+from thuecc.padic import default_precision, hensel_track_roots, solution_valuations
+
+LOCAL_COUNTS = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "local_counts.json"
 
 
 def brute_solutions(inst, b):
@@ -349,6 +354,55 @@ def test_projective_smooth_count_brute_property(p, middle, c0, cn, p_divides_cn,
     assert count_projective_smooth(inst, p) == affine + nonzero // (p - 1)
 
 
+PRIMES_TO_113 = [q for q in range(2, 114) if all(q % k for k in range(2, q))]
+
+
+@st.composite
+def line_count_cases(draw):
+    """(q, coeffs, h) with q <= 113 and d = gcd(n, q - 1) drawn from 1, 2,
+    3 and n where some such q exists; q | h, F = 0 mod q and q | c_n are
+    all reachable."""
+    n = draw(st.integers(1, 8))
+    d = draw(st.sampled_from((1, 2, 3, n)))
+    q = draw(st.sampled_from([q for q in PRIMES_TO_113 if gcd(n, q - 1) == d] or PRIMES_TO_113))
+    coeff = st.integers(-60, 60).filter(bool)
+    coeffs = draw(st.lists(coeff, min_size=n + 1, max_size=n + 1))
+    if draw(st.integers(0, 4)) == 4:
+        coeffs = [c * q for c in coeffs]
+    if draw(st.booleans()):
+        coeffs[-1] *= q
+    h = draw(st.integers(-500, 500).filter(bool))
+    if draw(st.integers(0, 3)) == 3:
+        h *= q
+    return q, coeffs, h
+
+
+@given(line_count_cases())
+@settings(max_examples=200, deadline=None)
+def test_line_counts_match_brute_double_loop(case):
+    # affine points of F = h in F_q^2 and, where the model is smooth at q,
+    # its projective points: the affine ones plus the nonzero zeros of F
+    # over q - 1
+    q, coeffs, h = case
+    values = Counter(form_value(coeffs, x, y) % q for x in range(q) for y in range(q))
+    assert affine_point_count(coeffs, h, q) == values[h % q]
+    if len(coeffs) < 4 or polyutil.content(coeffs) != 1 or h % q == 0:
+        return
+    inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), h)
+    if inst.shape.s == inst.n and inst.shape.degree_deficit == 0:
+        if polyutil.vp_frac(inst.dstar, q) == 0:
+            assert count_projective_smooth(inst, q) == values[h % q] + (values[0] - 1) // (q - 1)
+
+
+def test_projective_counts_match_the_benchmark_reference():
+    # every count item of the local-counts pool, as recorded by perfbench
+    items = json.loads(LOCAL_COUNTS.read_text())["counts"]
+    assert items
+    for item in items:
+        inst = ThueInstance.build(BinaryForm.from_coeffs(item["coeffs"]), item["h"])
+        assert count_projective_smooth(inst, item["p"]) == item["expect"]["count"], item
+
+
 def test_projective_smooth_pre_enforced():
     inst = ThueInstance.build(BinaryForm.from_coeffs([1, 0, 0, 0, 1]), 17)
     with pytest.raises(ValueError):
@@ -363,7 +417,8 @@ def test_census_worked_example():
     tracked = hensel_track_roots(inst.shape, 5, default_precision(inst, 5))
     sols = primitive_solutions(inst, 30)
     assert (25, 1) in sols.solutions
-    census = residue_class_census(sols, inst, 5, tracked)
+    profiles = [solution_valuations(a, b, inst, 5, tracked) for a, b in sols.solutions]
+    census = residue_class_census(profiles, inst, 5, tracked)
     assert census.granularity == "full"
     # the (25,1) class reduces to ((25-0)/25, 1) = (1, 1) on the root-0 disk
     root0 = next(r.index for r in tracked.roots if r.rational == 0)
@@ -381,7 +436,8 @@ def test_census_additive_terms():
             if not sols.solutions:
                 continue
             tracked = hensel_track_roots(inst.shape, p, default_precision(inst, p))
-            census = residue_class_census(sols, inst, p, tracked)
+            profiles = [solution_valuations(a, b, inst, p, tracked) for a, b in sols.solutions]
+            census = residue_class_census(profiles, inst, p, tracked)
             s = inst.shape.s
             limit = s * inst.n * p if case.divides_dstar else s * p
             assert census.count <= limit
@@ -391,9 +447,14 @@ def test_census_additive_terms():
 def test_census_depth_granularity():
     inst = ThueInstance.build(product_form([0, 5, 30], [1, 1, 1]), -2500)
     sols = primitive_solutions(inst, 30)
-    census = residue_class_census(sols, inst, 5, None)
+    profiles = [solution_valuations(a, b, inst, 5) for a, b in sols.solutions]
+    census = residue_class_census(profiles, inst, 5, None)
     assert census.granularity == "depth"
     assert census.count >= 1
+    # profiles taken without tracked roots cannot feed a full census
+    tracked = hensel_track_roots(inst.shape, 5, default_precision(inst, 5))
+    with pytest.raises(ValueError):
+        residue_class_census(profiles, inst, 5, tracked)
 
 
 def test_product_family():

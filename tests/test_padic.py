@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from helpers import (
     divmod_monic,
     evaluate,
+    form_valuation,
     form_value,
     product_form,
     random_tracked_instance,
@@ -345,7 +346,7 @@ def test_form_valuation_consistency():
         if gcd(a, b) != 1 or form_value(inst.form.coeffs, a, b) == 0:
             continue
         prof = solution_valuations(a, b, inst, 5)
-        assert prof.form_valuation(inst.shape) == polyutil.vp(form_value(inst.form.coeffs, a, b), 5)
+        assert form_valuation(prof, inst.shape) == polyutil.vp(form_value(inst.form.coeffs, a, b), 5)
 
 
 def test_check_vb_zero_on_enumerated_solutions():
@@ -382,4 +383,4 @@ def test_profile_total_is_h_valuation_on_solutions(a_shift, b):
         return
     inst = ThueInstance.build(form, h)
     prof = solution_valuations(a, b, inst, 5)
-    assert prof.form_valuation(inst.shape) == polyutil.vp(h, 5)
+    assert form_valuation(prof, inst.shape) == polyutil.vp(h, 5)

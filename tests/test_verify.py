@@ -1,9 +1,11 @@
 import random
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_tracked_instance
+from thuecc import padic
 from thuecc.bounds import RankHypothesis
 from thuecc.cli import main
 from thuecc.enumerate import primitive_solutions
@@ -51,6 +53,32 @@ def test_ramified_tracking_is_skipped_not_passed(capsys):
         "w_equals_um(-2,-1)", "ok", "w=1 u_m=1, profile mode"
     )
     assert res.ledgers == ()
+
+
+def test_one_valuation_profile_per_solution(monkeypatch):
+    # the w = u_m checks and the census read the same profile of each
+    # solution, with tracked roots (x^4 + y^4 = 17 at 17) and without
+    original = padic.solution_valuations
+    calls = []
+
+    def counted(a, b, *args, **kwargs):
+        calls.append((a, b))
+        return original(a, b, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "thuecc" and vars(module).get("solution_valuations") is original:
+            monkeypatch.setattr(module, "solution_valuations", counted)
+    for coeffs, h, p, box, tracked in (
+        ([1, 0, 0, 0, 1], 17, 5, 100, True),
+        ([1, 0, 0, -7], 7, 5, 50, False),
+        ([3, -4, 5, -9, -9, 3], -21, 7, 20, False),
+    ):
+        calls.clear()
+        res = verify_instance(build(coeffs, h), p, box, None)
+        checks = statuses(res)
+        assert ("tracked_mode" not in checks) == tracked
+        assert checks["census_additive_term"] == "ok"
+        assert sorted(calls) == sorted(res.solutions.solutions)
 
 
 def test_no_chart_prime_is_skipped():
