@@ -29,6 +29,11 @@ CASES = [
     ["fermat", "check", "--A", "1", "--B", "1", "--C", "17", "--n", "4", "--p", "5",
      "--box", "10", "--hypothesis", "mw_lt_threshold:1"],
     ["fermat", "orbit", "--t", "1,2,1", "--n", "4", "--symmetric"],
+    # the benchmark box of the verify-box workload
+    *(
+        ["verify", f"--F={coeffs}", "--h", h, "--box", "10000", "--hypothesis", "chabauty_lt_g"]
+        for coeffs, h in VERIFY_FORMS
+    ),
 ]
 
 
