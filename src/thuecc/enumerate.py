@@ -4,11 +4,13 @@ The box search is the ground truth everything else is checked against:
 it finds every coprime pair with max(|x|, |y|) <= B and F(x, y) = h.
 For even n it scans only the half box x >= 0 and mirrors the x > 0
 solutions through (x, y) -> (-x, -y); for odd n it scans the full box.
-Every scan goes through one exact residue sieve (two prime moduli whose
-product exceeds the box diameter, combined by CRT), which provably
-discards no solution: a true solution satisfies the congruence at every
-modulus, and every surviving candidate is verified with exact integer
-arithmetic.
+Every scan goes through one exact residue sieve, which provably discards
+no solution: a true solution satisfies the congruence at every modulus,
+and every surviving candidate is verified with exact integer arithmetic.
+Two prime moduli q1 < q2 whose product exceeds the box diameter give
+the candidate y by CRT; a third prime q3 > q2 drops the candidates that
+are not roots mod q3 before the exact check.  None of the three divides
+h.
 
 Every evaluation of a binary form over F_q (the sieve tables, the
 affine and projective point counts) goes through one Horner sweep of
@@ -61,13 +63,16 @@ def scan_stripe(
     instance: ThueInstance, box: int, x_lo: int, x_hi: int
 ) -> list[tuple[int, int]]:
     """Primitive solutions with x in [x_lo, x_hi] and |y| <= box, in
-    lexicographic order.  For each x only the y that are roots of F(x, y)
-    = h both mod q1 and mod q2 (q1 q2 > 2 box + 1) are tested exactly."""
+    lexicographic order.  For each x the y that are roots of F(x, y) = h
+    both mod q1 and mod q2 (q1 q2 > 2 box + 1) are lifted by CRT, and
+    only those that are also roots mod a third prime q3 are tested
+    exactly."""
     form, h = instance.form, instance.h
     out: list[tuple[int, int]] = []
-    q1, q2 = _filter_primes(h, box)
+    q1, q2, q3 = _filter_primes(h, box)
     t1 = root_table(form.coeffs, h, q1)
     t2 = root_table(form.coeffs, h, q2)
+    t3 = root_table(form.coeffs, h, q3)
     m = q1 * q2
     c1 = q2 * pow(q2, -1, q1)  # CRT basis: 1 mod q1, 0 mod q2
     c2 = q1 * pow(q1, -1, q2)
@@ -84,20 +89,27 @@ def scan_stripe(
                     cands.add(y0)
                 if y0 - m >= -box:
                     cands.add(y0 - m)
+        rs3 = t3[x % q3]
         for y in sorted(cands):
-            if gcd(x, y) == 1 and form(x, y) == h:
+            if y % q3 in rs3 and gcd(x, y) == 1 and form(x, y) == h:
                 out.append((x, y))
     return out
 
 
-def _filter_primes(h: int, box: int) -> tuple[int, int]:
-    q1 = int(sympy.nextprime(isqrt(2 * box + 1)))
-    while h % q1 == 0:
-        q1 = int(sympy.nextprime(q1))
-    q2 = int(sympy.nextprime(q1))
-    while h % q2 == 0:
-        q2 = int(sympy.nextprime(q2))
-    return q1, q2
+def _filter_primes(h: int, box: int) -> tuple[int, int, int]:
+    """The sieve moduli q1 < q2 < q3: consecutive primes above
+    isqrt(2 box + 1), skipping those that divide h."""
+    q1 = _prime_not_dividing(h, isqrt(2 * box + 1))
+    q2 = _prime_not_dividing(h, q1)
+    return q1, q2, _prime_not_dividing(h, q2)
+
+
+def _prime_not_dividing(h: int, start: int) -> int:
+    """The least prime above start that does not divide h."""
+    q = int(sympy.nextprime(start))
+    while h % q == 0:
+        q = int(sympy.nextprime(q))
+    return q
 
 
 def root_table(coeffs, h: int, q: int) -> list[list[int]]:

@@ -1,10 +1,11 @@
 import json
 import random
 from collections import Counter
-from math import gcd
+from math import gcd, isqrt, prod
 from pathlib import Path
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -26,7 +27,9 @@ from thuecc.enumerate import (
 from thuecc.forms import BinaryForm, FormError, ThueInstance
 from thuecc.padic import default_precision, hensel_track_roots, solution_valuations
 
-LOCAL_COUNTS = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "local_counts.json"
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+LOCAL_COUNTS = REFERENCE / "local_counts.json"
+VERIFY_BOX = REFERENCE / "verify_box.json"
 
 
 def brute_solutions(inst, b):
@@ -156,6 +159,69 @@ def test_even_degree_stripes_mirror(case):
     negative = scan_stripe(inst, box, -box, -1)
     positive = scan_stripe(inst, box, 1, box)
     assert negative == [(-x, -y) for x, y in reversed(positive)]
+
+
+@st.composite
+def boundary_cases(draw):
+    """(coeffs, h, box), n of both parities and box 1-40, with h = F(x0,
+    y0) at a point (x0, y0) on the edge of the box: x0 or y0 is box or
+    -box.  Either the coefficients are drawn freely, or h is drawn as a
+    multiple of the primes just above isqrt(2 box + 1), which the sieve
+    must skip as moduli, the other coordinate is +-1 and one coefficient
+    is shifted so that F(x0, y0) = h."""
+    parity = draw(st.sampled_from((0, 1)))
+    n = 2 * draw(st.integers(1, 4)) - parity
+    box = draw(st.integers(1, 40))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=n + 1, max_size=n + 1))
+    edge = draw(st.sampled_from((box, -box)))
+    x_on_edge = draw(st.booleans())
+    if draw(st.booleans()):
+        inner = draw(st.integers(-box, box))
+        x0, y0 = (edge, inner) if x_on_edge else (inner, edge)
+        h = form_value(coeffs, x0, y0)
+    else:
+        primes = [int(sympy.nextprime(isqrt(2 * box + 1)))]
+        while len(primes) < 4:
+            primes.append(int(sympy.nextprime(primes[-1])))
+        divisors = draw(st.lists(st.sampled_from(primes), min_size=1, max_size=3))
+        h = draw(st.integers(-3, 3)) * prod(divisors)
+        unit = draw(st.sampled_from((1, -1)))
+        # the coefficient of the +-1 coordinate's n-th power moves F(x0, y0) by unit^n
+        x0, y0, i = (edge, unit, n) if x_on_edge else (unit, edge, 0)
+        coeffs[i] += (h - form_value(coeffs, x0, y0)) * unit**n
+    assume(h != 0 and any(coeffs))
+    return coeffs, h, box
+
+
+@given(boundary_cases())
+@settings(max_examples=200, deadline=None)
+def test_sieve_keeps_solutions_on_the_box_edge(case):
+    inst, box = mirror_instance(case)
+    assert primitive_solutions(inst, box).solutions == tuple(brute_solutions(inst, box))
+
+
+def test_third_modulus_cuts_exact_evaluations(monkeypatch):
+    # the verify-box benchmark instances: with the moduli q1 and q2 alone
+    # the scan evaluates F exactly 2492-11944 times per form at box 10^4
+    calls = Counter()
+    evaluate = BinaryForm.__call__
+
+    def counted(form, x, y):
+        calls[form.coeffs] += 1
+        return evaluate(form, x, y)
+
+    monkeypatch.setattr(BinaryForm, "__call__", counted)
+    requests = {
+        (tuple(r["coeffs"]), r["h"], r["box"]): r["expect"]["solutions"]
+        for r in json.loads(VERIFY_BOX.read_text())["requests"]
+    }
+    assert len(requests) == 3
+    for (coeffs, h, box), expect in requests.items():
+        assert box == 10**4
+        inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), h)
+        calls.clear()
+        assert primitive_solutions(inst, box).solutions == tuple(map(tuple, expect))
+        assert calls[inst.form.coeffs] < 100
 
 
 def test_stripes_merge_deterministically():

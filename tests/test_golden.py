@@ -18,6 +18,7 @@ from thuecc.cli import main
 GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 
 VERIFY_FORMS = [("1,0,-1,10", "10"), ("1,0,0,0,1", "17"), ("1,0,0,0,0,0,1", "14")]
+BENCHMARK_BOX = "10000"  # the box of the verify-box benchmark workload
 
 CASES = [
     *(
@@ -29,12 +30,17 @@ CASES = [
     ["fermat", "check", "--A", "1", "--B", "1", "--C", "17", "--n", "4", "--p", "5",
      "--box", "10", "--hypothesis", "mw_lt_threshold:1"],
     ["fermat", "orbit", "--t", "1,2,1", "--n", "4", "--symmetric"],
-    # the benchmark box of the verify-box workload
     *(
-        ["verify", f"--F={coeffs}", "--h", h, "--box", "10000", "--hypothesis", "chabauty_lt_g"]
+        ["verify", f"--F={coeffs}", "--h", h, "--box", BENCHMARK_BOX, "--hypothesis", "chabauty_lt_g"]
         for coeffs, h in VERIFY_FORMS
     ),
 ]
+
+
+def case_id(index: int) -> str:
+    argv = CASES[index]
+    name = " ".join(argv[:2])
+    return f"{name} --box {BENCHMARK_BOX}" if BENCHMARK_BOX in argv else name
 
 
 def run(argv) -> dict:
@@ -48,7 +54,7 @@ def test_golden_covers_cases():
     assert [g["argv"] for g in json.loads(GOLDEN.read_text())] == CASES
 
 
-@pytest.mark.parametrize("index", range(len(CASES)), ids=lambda i: " ".join(CASES[i][:2]))
+@pytest.mark.parametrize("index", range(len(CASES)), ids=case_id)
 def test_golden_output(index):
     golden = json.loads(GOLDEN.read_text())[index]
     got = run(golden["argv"])
