@@ -19,6 +19,7 @@ GOLDEN = Path(__file__).with_name("golden") / "cli.json"
 
 VERIFY_FORMS = [("1,0,-1,10", "10"), ("1,0,0,0,1", "17"), ("1,0,0,0,0,0,1", "14")]
 BENCHMARK_BOX = "10000"  # the box of the verify-box benchmark workload
+LARGE_BOX = "100000"
 
 CASES = [
     *(
@@ -34,13 +35,18 @@ CASES = [
         ["verify", f"--F={coeffs}", "--h", h, "--box", BENCHMARK_BOX, "--hypothesis", "chabauty_lt_g"]
         for coeffs, h in VERIFY_FORMS
     ),
+    *(
+        ["verify", f"--F={coeffs}", "--h", h, "--box", LARGE_BOX, "--hypothesis", "chabauty_lt_g"]
+        for coeffs, h in VERIFY_FORMS
+    ),
 ]
 
 
 def case_id(index: int) -> str:
     argv = CASES[index]
     name = " ".join(argv[:2])
-    return f"{name} --box {BENCHMARK_BOX}" if BENCHMARK_BOX in argv else name
+    box = next((b for b in (BENCHMARK_BOX, LARGE_BOX) if b in argv), None)
+    return f"{name} --box {box}" if box else name
 
 
 def run(argv) -> dict:
