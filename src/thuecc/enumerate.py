@@ -10,7 +10,8 @@ and every surviving candidate is verified with exact integer arithmetic.
 Two prime moduli q1 < q2 whose product exceeds the box diameter give
 the candidate y by CRT; a third prime q3 > q2 drops the candidates that
 are not roots mod q3 before the exact check.  None of the three divides
-h.
+h.  A column x whose row of roots is empty mod q1, q2 or q3 holds no
+solution and is skipped before any candidate is built.
 
 Every evaluation of a binary form over F_q (the sieve tables, the
 affine and projective point counts) goes through one Horner sweep of
@@ -63,10 +64,10 @@ def scan_stripe(
     instance: ThueInstance, box: int, x_lo: int, x_hi: int
 ) -> list[tuple[int, int]]:
     """Primitive solutions with x in [x_lo, x_hi] and |y| <= box, in
-    lexicographic order.  For each x the y that are roots of F(x, y) = h
+    lexicographic order.  A column x is skipped when F(x, y) = h has no
+    root y mod q1, mod q2 or mod q3.  Otherwise the y that are roots
     both mod q1 and mod q2 (q1 q2 > 2 box + 1) are lifted by CRT, and
-    only those that are also roots mod a third prime q3 are tested
-    exactly."""
+    only those that are also roots mod q3 are tested exactly."""
     form, h = instance.form, instance.h
     out: list[tuple[int, int]] = []
     q1, q2, q3 = _filter_primes(h, box)
@@ -79,7 +80,8 @@ def scan_stripe(
     for x in range(x_lo, x_hi + 1):
         rs1 = t1[x % q1]
         rs2 = t2[x % q2]
-        if not rs1 or not rs2:
+        rs3 = t3[x % q3]
+        if not rs1 or not rs2 or not rs3:
             continue
         cands = set()
         for r1 in rs1:
@@ -89,7 +91,6 @@ def scan_stripe(
                     cands.add(y0)
                 if y0 - m >= -box:
                     cands.add(y0 - m)
-        rs3 = t3[x % q3]
         for y in sorted(cands):
             if y % q3 in rs3 and gcd(x, y) == 1 and form(x, y) == h:
                 out.append((x, y))

@@ -7,7 +7,7 @@ either a dense ``dup_*``/``dmp_*``/``gf_*`` kernel on descending
 coefficient lists such as ``to_dense(f)`` (discriminants, the difference
 resolvent, squarefree decomposition, factorization over Q and mod p,
 Hensel lifting) or an integer function (``isprime``, ``nextprime``,
-``primefactors``, ``totient``, ``primitive_root``, ``integer_nthroot``);
+``totient``, ``primitive_root``, ``integer_nthroot``);
 no ``Poly`` or expression is built anywhere.
 """
 

@@ -4,7 +4,11 @@ verify_instance checks the primitive solutions in a box against the
 bounds at p and, at the smallest prime p > n dividing h, against v(b) =
 0, w = u_m, equal depths per deepest root and the census additive term
 s*p or s*n*p.  When the roots cannot be tracked there, w = u_m runs in
-profile mode.  A skipped check carries its reason and is never a pass.
+profile mode.  That prime is found by trial division and a primality
+test, never by factoring: when h keeps a composite cofactor with no
+prime factor up to TRIAL_LIMIT and no smaller prime qualifies, the
+charts are skipped.  A skipped check carries its reason and is never a
+pass.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from thuecc import polyutil
 from thuecc.forms import ThueInstance, monicize
 
 
+TRIAL_LIMIT = 10**6  # trial division bound in the search for the chart prime
+
+
 @dataclass(frozen=True)
 class Check:
     name: str
@@ -37,7 +44,7 @@ def _check(name: str, passed: bool, detail: str) -> Check:
 class Verification:
     solutions: en.SolutionSet
     checks: tuple[Check, ...]
-    chart_prime: int | None  # the prime of the chart checks, None if none divides h
+    chart_prime: int | None  # the prime of the chart checks, None when charts are skipped
     ledgers: tuple[ch.ChartData, ...]
 
 
@@ -64,12 +71,40 @@ def verify_instance(
         else:
             detail = f"{len(sols)} <= {e.floor} [{e.quantity}]"
             checks.append(_check(name, len(sols) <= e.floor, detail))
-    ph = next((q for q in sympy.primefactors(instance.h) if q > instance.n), None)
+    ph, rest = _chart_prime(instance.h, instance.n)
     if ph is None:
-        detail = f"no prime p > n = {instance.n} divides h = {instance.h}"
+        if rest == 1:
+            detail = f"no prime p > n = {instance.n} divides h = {instance.h}"
+        else:
+            detail = (
+                f"no prime p in ({instance.n}, {TRIAL_LIMIT}] divides h = {instance.h}"
+                f", and its cofactor {rest} is composite, left unfactored"
+            )
         return Verification(sols, (*checks, Check("charts", "skipped", detail)), None, ())
     chart_checks, ledgers = _chart_checks(instance, sols, ph, precision)
     return Verification(sols, (*checks, *chart_checks), ph, tuple(ledgers))
+
+
+def _chart_prime(h: int, n: int) -> tuple[int | None, int]:
+    """(p, 1) for the least prime p > n dividing h, else (None, rest).
+
+    Trial division runs up to TRIAL_LIMIT, and what it leaves is tested
+    with isprime, so no factoring algorithm runs on a hard h.  rest is 1
+    when no prime p > n divides h, and otherwise the composite cofactor
+    of h that has no prime factor up to TRIAL_LIMIT.  Every |h| below
+    TRIAL_LIMIT^2 is factored completely.
+    """
+    rest, q = abs(h), 2
+    while q <= TRIAL_LIMIT and q * q <= rest:
+        if rest % q:
+            q += 1 if q == 2 else 2
+        elif q > n:
+            return q, 1
+        else:
+            rest //= q
+    if q * q > rest or sympy.isprime(rest):
+        return (rest, 1) if rest > n else (None, 1)
+    return None, rest
 
 
 def _chart_checks(inst: ThueInstance, sols: en.SolutionSet, p: int, precision):

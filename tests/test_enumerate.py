@@ -161,6 +161,18 @@ def test_even_degree_stripes_mirror(case):
     assert negative == [(-x, -y) for x, y in reversed(positive)]
 
 
+@given(mirror_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_stripe_window_matches_brute_property(case, data):
+    # any window of columns in the box: one column wide or wider, and for
+    # even n also the x < 0 that primitive_solutions never scans
+    inst, box = mirror_instance(case)
+    x_lo = data.draw(st.integers(-box, box), label="x_lo")
+    x_hi = data.draw(st.one_of(st.just(x_lo), st.integers(x_lo, box)), label="x_hi")
+    expect = [(x, y) for x, y in brute_solutions(inst, box) if x_lo <= x <= x_hi]
+    assert scan_stripe(inst, box, x_lo, x_hi) == expect
+
+
 @st.composite
 def boundary_cases(draw):
     """(coeffs, h, box), n of both parities and box 1-40, with h = F(x0,

@@ -1,5 +1,9 @@
+import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,7 +14,7 @@ from thuecc.bounds import RankHypothesis
 from thuecc.cli import main
 from thuecc.enumerate import primitive_solutions
 from thuecc.forms import BinaryForm, ThueInstance
-from thuecc.verify import Check, verify_instance
+from thuecc.verify import TRIAL_LIMIT, Check, verify_instance
 
 CHABAUTY = RankHypothesis("chabauty_lt_g")
 
@@ -85,6 +89,34 @@ def test_no_chart_prime_is_skipped():
     res = verify_instance(build([1, 0, 0, 0, 1], 6), 5, 20, CHABAUTY)
     assert statuses(res)["charts"] == "skipped"
     assert res.chart_prime is None and res.ledgers == ()
+
+
+# the product of two primes near 10^22 and 3 10^22: ECM on it runs for minutes
+HARD_H = (10**22 + 9) * (3 * 10**22 + 29)
+
+
+def test_hard_h_skips_charts_unfactored():
+    argv = ["verify", "--F=1,0,0,0,1", "--h", str(HARD_H), "--box", "5"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-m", "thuecc.cli", *argv],
+        capture_output=True, text=True, timeout=10, env=env,
+    )
+    assert run.returncode == 0
+    (row,) = json.loads(run.stdout)["rows"]
+    (charts,) = [c for c in row["checks"] if c["check"] == "charts"]
+    assert charts == {
+        "check": "charts",
+        "status": "skipped",
+        "detail": f"no prime p in (4, {TRIAL_LIMIT}] divides h = {HARD_H}"
+        f", and its cofactor {HARD_H} is composite, left unfactored",
+    }
+    assert "charts" not in row
+    # a prime p > n below the trial limit still charts, whatever the cofactor
+    res = verify_instance(build([1, 0, 0, 0, 1], 17 * HARD_H), 5, 5, CHABAUTY)
+    assert res.chart_prime == 17
+    assert "charts" not in statuses(res)
 
 
 def test_conditional_bounds_are_skipped_without_hypothesis():
