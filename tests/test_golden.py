@@ -39,6 +39,15 @@ CASES = [
         ["verify", f"--F={coeffs}", "--h", h, "--box", LARGE_BOX, "--hypothesis", "chabauty_lt_g"]
         for coeffs, h in VERIFY_FORMS
     ),
+    *(
+        argv + ["--format", fmt]
+        for argv in (
+            ["analyze", "--F", "1,0,0,0,1", "--h", "17"],
+            ["bound", "--F", "1,0,0,0,1", "--h", "17", "--hypothesis", "chabauty_lt_g"],
+            ["verify", "--F=1,0,0,0,1", "--h", "17", "--box", "300", "--hypothesis", "chabauty_lt_g"],
+        )
+        for fmt in ("csv", "text")
+    ),
 ]
 
 
@@ -46,6 +55,8 @@ def case_id(index: int) -> str:
     argv = CASES[index]
     name = " ".join(argv[:2])
     box = next((b for b in (BENCHMARK_BOX, LARGE_BOX) if b in argv), None)
+    if "--format" in argv:
+        name += f" --format {argv[argv.index('--format') + 1]}"
     return f"{name} --box {box}" if box else name
 
 
