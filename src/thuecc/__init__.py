@@ -20,7 +20,7 @@ from thuecc.padic import (
     hensel_track_roots,
     solution_valuations,
 )
-from thuecc.enumerate import primitive_solutions, SearchBox
+from thuecc.enumerate import primitive_solutions
 
 __all__ = [
     "BinaryForm",
@@ -36,5 +36,4 @@ __all__ = [
     "hensel_track_roots",
     "solution_valuations",
     "primitive_solutions",
-    "SearchBox",
 ]

@@ -22,7 +22,7 @@ the jacobian under the order-n automorphism.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import sympy
@@ -128,12 +128,11 @@ class BoundEntry:
     exact: Fraction
     floor: int
     conditional: bool = False
-    flags: tuple[str, ...] = ()
 
     @classmethod
-    def make(cls, name, quantity, exact, conditional=False, flags=()):
+    def make(cls, name, quantity, exact, conditional=False):
         exact = Fraction(exact)
-        return cls(name, quantity, exact, math.floor(exact), conditional, tuple(flags))
+        return cls(name, quantity, exact, math.floor(exact), conditional)
 
 
 @dataclass(frozen=True)
@@ -142,8 +141,7 @@ class BoundReport:
     p: int
     case: PrimeCase
     entries: tuple[BoundEntry, ...]
-    hypothesis: RankHypothesis | None
-    notes: tuple[str, ...] = field(default=())
+    notes: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -224,9 +222,7 @@ def main_bounds(
         ),
         BoundEntry.make("global_cubic", QTY_PRIMITIVE_GLOBAL, gb, conditional),
     )
-    return BoundReport(
-        instance.instance_id(), p, case, entries, hypothesis, tuple(notes)
-    )
+    return BoundReport(instance.instance_id(), p, case, entries, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +262,7 @@ def refined_bounds_prime_degree(
         f"cyclotomic field",
         f"hypothesis threshold: MW rank over Q < {threshold}",
     )
-    return BoundReport(f"n={n};a={a}", p, case, entries, hypothesis, notes)
+    return BoundReport(f"n={n};a={a}", p, case, entries, notes)
 
 
 def refined_bounds_degree_pm1(
@@ -311,9 +307,7 @@ def refined_bounds_degree_pm1(
                 "pm1_local", QTY_PRIMITIVE_LOCAL, 2 * n**2 + 4 * n - 5, conditional
             )
         )
-    return BoundReport(
-        f"n={n}", p, case, tuple(entries), hypothesis, (f"route: {route}",)
-    )
+    return BoundReport(f"n={n}", p, case, tuple(entries), (f"route: {route}",))
 
 
 def refined_bounds(

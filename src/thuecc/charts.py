@@ -56,7 +56,6 @@ class ChartData:
     u_seq: tuple[int, ...]
     w: int
     rescale: int = 1
-    argmax_tied: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -80,7 +79,6 @@ def build_chart(
     w: int,
     root_index: int | None = None,
     rescale: int = 1,
-    argmax_tied: bool = False,
 ) -> ChartData:
     """Run the depth recursion on rescaled integer valuations.
 
@@ -122,7 +120,6 @@ def build_chart(
         u_seq=tuple(u_seq),
         w=w,
         rescale=rescale,
-        argmax_tied=argmax_tied,
     )
 
 
@@ -175,9 +172,9 @@ def chart_from_tracked(
     """Chart of a solution with tracked root identities.
 
     Ties at the maximum are broken toward the smallest root index (the
-    conjugate charts are isomorphic); the tie is flagged.  The chosen
-    root must be a Z_p root (rational or lifted), which is automatic for
-    a primitive solution when p | h.
+    conjugate charts are isomorphic).  The chosen root must be a Z_p
+    root (rational or lifted), which is automatic for a primitive
+    solution when p | h.
     """
     if not profile.tracked or profile.argmax_index is None:
         raise ChartError("tracked profile required")
@@ -201,7 +198,6 @@ def chart_from_tracked(
         w=int(Fraction(w) * e),
         root_index=chosen.index,
         rescale=e,
-        argmax_tied=profile.argmax_tied,
     )
 
 
@@ -213,7 +209,6 @@ def verify_w_equals_um(chart: ChartData) -> bool:
 
 @dataclass(frozen=True)
 class DepthReport:
-    root_index: int
     t_values: tuple[int, ...]
     passed: bool
 
@@ -232,4 +227,4 @@ def check_common_root_depth(profiles: list[SolutionValuationProfile]) -> DepthRe
     if len(indices) != 1:
         raise ChartError(f"profiles mix argmax roots {sorted(indices)}")
     ts = tuple(pr.t for pr in profiles)
-    return DepthReport(root_index=indices.pop(), t_values=ts, passed=len(set(ts)) == 1)
+    return DepthReport(t_values=ts, passed=len(set(ts)) == 1)

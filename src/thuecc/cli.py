@@ -3,15 +3,17 @@
 Subcommands:
 
 * analyze: factorization shape, genus, d*, irreducibility, prime case.
-* bound:   every applicable bound with its hypothesis flags.
+* bound:   every applicable bound, marked conditional unless the
+           --hypothesis covers it.
 * verify:  thuecc.verify.verify_instance; each check is written as
            {"check", "status", "detail"}, status ok, fail or skipped.
 * fermat:  construct / check / orbit verbs for generalized Fermat twists.
 
 The commands parse input, fill in defaults and format what the library
 returns.  Instances come inline (--F coefficients, --h) or from a
-JSON-lines corpus file {"coeffs": [...], "h": ...}.  Reports are
-deterministic for a fixed configuration: no timestamps, stable ordering.
+JSON-lines corpus file {"coeffs": [...], "h": ...} of JSON integers.
+Reports are deterministic for a fixed configuration: no timestamps,
+stable ordering.
 Exit codes: 0 no check failed, 2 some check failed, 3 input error.
 """
 
@@ -73,7 +75,13 @@ def _load_instances(args) -> list[ThueInstance]:
                         continue
                     try:
                         row = json.loads(line)
-                        specs.append(([int(c) for c in row["coeffs"]], int(row["h"])))
+                        coeffs, h = row["coeffs"], row["h"]
+                        # JSON integers only: no bool, float or string is coerced
+                        if type(coeffs) is not list or any(
+                            type(v) is not int for v in [*coeffs, h]
+                        ):
+                            raise TypeError("coeffs must be a list of integers, h an integer")
+                        specs.append((coeffs, h))
                     except (ValueError, KeyError, TypeError) as exc:
                         raise InputError(
                             f"{args.corpus}:{lineno}: expected a JSON object "
@@ -168,7 +176,6 @@ def _report_dict(report: bnd.BoundReport) -> dict:
                 "exact": str(e.exact),
                 "floor": e.floor,
                 "conditional": e.conditional,
-                "flags": list(e.flags),
             }
             for e in report.entries
         ],
@@ -183,12 +190,12 @@ def cmd_verify(args) -> tuple[dict, int]:
             rows.append({"instance": inst.instance_id(), "error": "reducible model"})
             continue
         p = args.p if args.p is not None else bnd.bertrand_prime(inst.n)
-        box = args.box if args.box is not None else en.default_box(inst.n).bound
+        box = args.box if args.box is not None else en.default_box(inst.n)
         res = verify_instance(inst, p, box, hyp, args.precision)
         row: dict = {
             "instance": inst.instance_id(),
             "box": box,
-            "solutions": [list(s) for s in res.solutions.solutions],
+            "solutions": [list(s) for s in res.solutions],
             "count": len(res.solutions),
             "checks": [
                 {"check": c.name, "status": c.status, "detail": c.detail} for c in res.checks

@@ -22,12 +22,14 @@ affine points off the origin lie on the lines (l, l t) and (0, l), and
 on a line of F-value v != 0 the equation l^n v = h has d = gcd(n, q - 1)
 solutions when v / h is a d-th power and none otherwise, so one table of
 the d-th powers mod q replaces a pass over the rows (_line_counts).
+
+Results are plain values: primitive_solutions returns the tuple of
+solution pairs and residue_class_census the sorted tuple of classes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 from math import gcd, isqrt
 
 import sympy
@@ -37,27 +39,8 @@ from thuecc.forms import BinaryForm, ThueInstance
 from thuecc.padic import SolutionValuationProfile, TrackedRoots
 
 
-@dataclass(frozen=True)
-class SearchBox:
-    bound: int
-
-    def __post_init__(self):
-        if self.bound < 1:
-            raise ValueError("box bound must be >= 1")
-
-
-def default_box(n: int) -> SearchBox:
-    return SearchBox(10**4 if n <= 6 else 10**3)
-
-
-@dataclass(frozen=True)
-class SolutionSet:
-    instance_id: str
-    solutions: tuple[tuple[int, int], ...]
-    box: int
-
-    def __len__(self) -> int:
-        return len(self.solutions)
+def default_box(n: int) -> int:
+    return 10**4 if n <= 6 else 10**3
 
 
 def scan_stripe(
@@ -179,18 +162,18 @@ def _value_buckets(coeffs, q: int) -> dict[int, list[int]]:
     return buckets
 
 
-def primitive_solutions(instance: ThueInstance, box: SearchBox | int) -> SolutionSet:
-    """Exhaustive primitive-solution scan over max(|x|,|y|) <= B, in
-    lexicographic order.  Odd n scans the full box.  Even n scans only
-    x >= 0: F(-x, -y) = F(x, y), so the solutions with x < 0 are the
-    negatives of those with x > 0, in reverse order."""
-    b = (box if isinstance(box, SearchBox) else SearchBox(int(box))).bound
+def primitive_solutions(instance: ThueInstance, box: int) -> tuple[tuple[int, int], ...]:
+    """Exhaustive primitive-solution scan over max(|x|,|y|) <= box >= 1,
+    as a tuple of pairs in lexicographic order.  Odd n scans the full
+    box.  Even n scans only x >= 0: F(-x, -y) = F(x, y), so the
+    solutions with x < 0 are the negatives of those with x > 0, in
+    reverse order."""
+    if box < 1:
+        raise ValueError("box bound must be >= 1")
     if instance.n % 2:
-        sols = scan_stripe(instance, b, -b, b)
-    else:
-        half = scan_stripe(instance, b, 0, b)
-        sols = [(-x, -y) for x, y in reversed(half) if x] + half
-    return SolutionSet(instance.instance_id(), tuple(sols), b)
+        return tuple(scan_stripe(instance, box, -box, box))
+    half = scan_stripe(instance, box, 0, box)
+    return tuple([(-x, -y) for x, y in reversed(half) if x] + half)
 
 
 # ---------------------------------------------------------------------------
@@ -229,41 +212,25 @@ def count_projective_smooth(instance: ThueInstance, p: int) -> int:
 # Residue-class census
 
 
-@dataclass(frozen=True)
-class Census:
-    """Distinct reduction data of a solution set at p.
-
-    Full granularity (tracked mode): classes are (root index, depth t,
-    unit (a - alpha b)/p^t mod p, b mod p).  Without tracked data the
-    census degrades to depth granularity only.
-    """
-
-    instance_id: str
-    p: int
-    classes: tuple[tuple, ...]
-    granularity: str  # "full" or "depth"
-
-    @property
-    def count(self) -> int:
-        return len(self.classes)
-
-
 def residue_class_census(
     profiles: Sequence[SolutionValuationProfile],
     instance: ThueInstance,
     p: int,
     tracked: TrackedRoots | None,
-) -> Census:
-    """Census of reduction classes of primitive solutions, p | h, read
-    off their valuation profiles at p (solution_valuations with the same
-    tracked roots, or none)."""
+) -> tuple[tuple, ...]:
+    """The distinct reduction classes of primitive solutions at p | h,
+    sorted, read off their valuation profiles at p (solution_valuations
+    with the same tracked roots, or none).
+
+    With tracked roots a class is (root index, depth t, unit (a - alpha
+    b)/p^t mod p, b mod p); without them the census degrades to depth
+    granularity and a class is (t,)."""
     if instance.h % p != 0:
         raise ValueError("census requires p | h")
     if any(prof.p != p or prof.tracked != (tracked is not None) for prof in profiles):
         raise ValueError("census profiles must be taken at p, in the census's mode")
     if tracked is None:
-        keys = {(prof.t,) for prof in profiles}
-        return Census(instance.instance_id(), p, tuple(sorted(keys)), "depth")
+        return tuple(sorted({(prof.t,) for prof in profiles}))
     keys = set()
     pn = p**tracked.precision
     by_index = {r.index: r for r in tracked.roots}
@@ -274,7 +241,7 @@ def residue_class_census(
         mres = (prof.a - r * prof.b) % pn
         unit = (mres // p**t) % p
         keys.add((root.index, t, unit, prof.b % p))
-    return Census(instance.instance_id(), p, tuple(sorted(keys)), "full")
+    return tuple(sorted(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +258,11 @@ def product_form_family(a_list, h: int) -> tuple[ThueInstance, list[tuple[int, i
     n = len(a_list)
     if len(set(a_list)) != n:
         raise ValueError("the a_i must be distinct")
-    coeffs = _product_form_coeffs(a_list)
+    coeffs = (1,)  # prod (x - a_i y) at x = 1, ascending in y
+    for a in a_list:
+        coeffs = polyutil.mul(coeffs, (1, -a))
+    # mul drops the zero top terms when some a_i is 0; pad back to n + 1
+    coeffs = [*coeffs] + [0] * (n + 1 - len(coeffs))
     coeffs[n] += h
     form = BinaryForm(n, tuple(coeffs))
     certified = [(a, 1) for a in a_list]
@@ -303,13 +274,3 @@ def product_form_family(a_list, h: int) -> tuple[ThueInstance, list[tuple[int, i
     instance = ThueInstance.build(form, h)
     assert instance.content_removed == 1  # the x^n coefficient is 1
     return instance, sorted(set(certified))
-
-
-def _product_form_coeffs(a_list) -> list[int]:
-    # prod (x - a_i y): elementary symmetric expansion, sign (-1)^i e_i
-    n = len(a_list)
-    e = [1] + [0] * n
-    for a in a_list:
-        for i in range(n, 0, -1):
-            e[i] = e[i] + a * e[i - 1]
-    return [(-1) ** i * e[i] for i in range(n + 1)]

@@ -210,8 +210,6 @@ def nonequivalent_classes(triples: list[SolutionTriple], n: int) -> list[Solutio
 
 @dataclass(frozen=True)
 class UniqueTripleReport:
-    twist: FermatTwist
-    p: int
     classes: tuple[SolutionTriple, ...]
     consistent: bool
     conclusion: str
@@ -255,4 +253,4 @@ def unique_triple_check(
     else:
         conclusion = "at most one class found; no hypothesis asserted, no conclusion"
         consistent = True
-    return UniqueTripleReport(twist, p, tuple(classes), consistent, conclusion)
+    return UniqueTripleReport(tuple(classes), consistent, conclusion)

@@ -65,19 +65,6 @@ class BinaryForm:
         """F(x,1) as an ascending-coefficient integer polynomial."""
         return polyutil.trim(tuple(reversed(self.coeffs)))
 
-    def __str__(self) -> str:
-        n = self.degree
-        terms = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mono = "".join(
-                [f"x^{n - i}" if n - i > 1 else ("x" if n - i == 1 else ""),
-                 f"y^{i}" if i > 1 else ("y" if i == 1 else "")]
-            ) or "1"
-            terms.append(f"{c:+d}*{mono}")
-        return "".join(terms).lstrip("+") or "0"
-
 
 @dataclass(frozen=True)
 class FormShape:

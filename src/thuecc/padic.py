@@ -23,7 +23,7 @@ Three layers live here:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
@@ -136,7 +136,6 @@ class TrackedRoot:
     index: int
     multiplicity: int
     kind: str
-    degree: int
     rational: Fraction | None = None
     approx: int | None = None
     factor: IntPoly = ()
@@ -250,7 +249,7 @@ def hensel_track_roots(
             if deg == 1:
                 root = Fraction(-qc[0], qc[1])
                 entries.append(
-                    TrackedRoot(0, mult, "rational", 1, rational=root, minpoly=qc)
+                    TrackedRoot(0, mult, "rational", rational=root, minpoly=qc)
                 )
                 continue
             if qc[-1] % p == 0:
@@ -275,23 +274,19 @@ def hensel_track_roots(
             desc = [polyutil.to_dense(f) for f in [qc] + [f for f, _ in modular]]
             lifted = dup_zz_hensel_lift(p, desc[0], desc[1:], precision, ZZ)
             for fac in (poly_mod(f[::-1], p**precision) for f in lifted):
-                d = polyutil.degree(fac)
-                if d == 1:
+                if polyutil.degree(fac) == 1:
                     entries.append(
                         TrackedRoot(
                             0,
                             mult,
                             "lifted",
-                            1,
                             approx=(-fac[0]) % p**precision,
                             factor=fac,
                             minpoly=qc,
                         )
                     )
                 else:
-                    entries.append(
-                        TrackedRoot(0, mult, "inert", d, factor=fac, minpoly=qc)
-                    )
+                    entries.append(TrackedRoot(0, mult, "inert", factor=fac, minpoly=qc))
     # deterministic indexing: rational roots by value, then lifted by
     # approximation, then inert by factor
     def sort_key(r: TrackedRoot):
@@ -300,14 +295,8 @@ def hensel_track_roots(
         return (rank, key)
 
     entries.sort(key=sort_key)
-    entries = [
-        TrackedRoot(
-            i, r.multiplicity, r.kind, r.degree,
-            rational=r.rational, approx=r.approx, factor=r.factor, minpoly=r.minpoly,
-        )
-        for i, r in enumerate(entries)
-    ]
-    return TrackedRoots(p=p, precision=precision, roots=tuple(entries), partial=skipped)
+    roots = tuple(replace(r, index=i) for i, r in enumerate(entries))
+    return TrackedRoots(p=p, precision=precision, roots=roots, partial=skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -326,9 +315,9 @@ class SolutionValuationProfile:
     """Valuations {v(a - alpha_j b)} over the distinct roots of F(x,1).
 
     t is the maximum; argmax_index identifies the achieving root in
-    tracked mode (smallest index on ties, with argmax_tied set).
-    vb = v_p(b).  degree_deficit entries contribute vb each to
-    v_p(F(a,b)) but are not part of per_root.
+    tracked mode (smallest index on ties).  The degree_deficit roots at
+    infinity contribute v_p(b) each to v_p(F(a,b)) but are not part of
+    per_root.
     """
 
     a: int
@@ -336,9 +325,7 @@ class SolutionValuationProfile:
     p: int
     per_root: tuple[RootValuationEntry, ...]
     t: Val
-    vb: Val
     argmax_index: int | None = None
-    argmax_tied: bool = False
     tracked: bool = False
 
 
@@ -378,21 +365,16 @@ def solution_valuations(
                 entries.extend([RootValuationEntry(v, mult)] * m)
     t: Val = max((e.value for e in entries), default=Fraction(0))
     argmax = None
-    tied = False
     if tracked is not None:
         hits = [e.root_index for e in entries if e.value == t]
         argmax = min(hits) if hits else None
-        tied = len(hits) > 1
-    vb: Val = INF if b == 0 else Fraction(vp(b, p))
     return SolutionValuationProfile(
         a=a,
         b=b,
         p=p,
         per_root=tuple(entries),
         t=t,
-        vb=vb,
         argmax_index=argmax,
-        argmax_tied=tied,
         tracked=tracked is not None,
     )
 

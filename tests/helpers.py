@@ -14,7 +14,6 @@ from sympy import ZZ
 from sympy.polys.densearith import dup_div
 
 from thuecc import polyutil
-from thuecc.enumerate import _product_form_coeffs
 from thuecc.forms import BinaryForm, ThueInstance
 from thuecc.newton_zero import CoeffValuationSeq
 from thuecc.padic import INF
@@ -31,11 +30,18 @@ def random_form(rng, n: int, lo=-9, hi=9) -> BinaryForm:
 
 
 def product_form(roots, mults) -> BinaryForm:
-    """prod (x - a_i y)^{m_i}, expanded exactly."""
+    """prod (x - a_i y)^{m_i}, expanded exactly: the coefficient of
+    x^(n-i) y^i is (-1)^i e_i, e_i the elementary symmetric functions
+    of the a_i repeated m_i times."""
     flat = []
     for a, m in zip(roots, mults):
         flat.extend([a] * m)
-    return BinaryForm.from_coeffs(_product_form_coeffs(flat))
+    n = len(flat)
+    e = [1] + [0] * n
+    for a in flat:
+        for i in range(n, 0, -1):
+            e[i] += a * e[i - 1]
+    return BinaryForm.from_coeffs([(-1) ** i * e[i] for i in range(n + 1)])
 
 
 def random_tracked_instance(rng, p: int):
@@ -124,9 +130,9 @@ def form_valuation(prof, shape):
             return INF
         total += e.multiplicity * e.value
     if shape.degree_deficit:
-        if prof.vb == INF:
+        if prof.b == 0:
             return INF
-        total += shape.degree_deficit * prof.vb
+        total += shape.degree_deficit * polyutil.vp(prof.b, prof.p)
     return total
 
 

@@ -110,7 +110,7 @@ def test_w_equals_um_randomized():
             sols = primitive_solutions(inst, 45)
             tracked = hensel_track_roots(inst.shape, p, default_precision(inst, p))
             w = polyutil.vp(inst.h, p)
-            for a, b in sols.solutions:
+            for a, b in sols:
                 prof = solution_valuations(a, b, inst, p, tracked)
                 chart = chart_from_tracked(prof, tracked, w)
                 assert verify_w_equals_um(chart), (inst.instance_id(), (a, b))
@@ -126,7 +126,7 @@ def test_common_depth_across_solutions():
             sols = primitive_solutions(inst, 45)
             tracked = hensel_track_roots(inst.shape, p, default_precision(inst, p))
             groups = {}
-            for a, b in sols.solutions:
+            for a, b in sols:
                 prof = solution_valuations(a, b, inst, p, tracked)
                 groups.setdefault(prof.argmax_index, []).append(prof)
             for profiles in groups.values():

@@ -145,6 +145,17 @@ def test_input_errors(tmp_path, capsys):
     no_h = tmp_path / "no_h.jsonl"
     no_h.write_text('{"coeffs": [1, 0, 0, 0, 1]}\n')
     assert main(["bound", "--corpus", str(no_h)]) == 3
+    coerced = [  # numbers that int() would accept but JSON does not type as integers
+        '{"coeffs": "10001", "h": 17}',
+        '{"coeffs": [1, 0, 0, 0, 1.9], "h": 17.5}',
+        '{"coeffs": [true, 0, 0, 0, 1], "h": 17}',
+        '{"coeffs": [1, 0, 0, 0, 1], "h": "17"}',
+    ]
+    for i, line in enumerate(coerced):
+        rows = tmp_path / f"coerced{i}.jsonl"
+        rows.write_text('{"coeffs": [1, 0, 0, 0, 1], "h": 17}\n' + line + "\n")
+        assert main(["analyze", "--format", "text", "--corpus", str(rows)]) == 3
+        assert f"{rows}:2:" in capsys.readouterr().err
     latin1 = tmp_path / "latin1.jsonl"
     latin1.write_bytes(b'{"coeffs": [1, 0, 0, 0, 1], "h": 17}\n{"note": "\xe9"}\n')
     assert main(["analyze", "--corpus", str(latin1)]) == 3

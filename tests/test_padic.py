@@ -327,7 +327,6 @@ def test_solution_valuations_b_zero():
     inst = ThueInstance.build(BinaryForm.from_coeffs([1, 0, -1]), 15)
     prof = solution_valuations(1, 0, inst, 5)
     assert all(e.value == 0 for e in prof.per_root)
-    assert prof.vb == INF
 
 
 def test_solution_valuations_rejects_imprimitive():
@@ -355,10 +354,10 @@ def test_check_vb_zero_on_enumerated_solutions():
         for _ in range(6):
             inst, seed_sol = random_tracked_instance(rng, p)
             sols = primitive_solutions(inst, 45)
-            assert seed_sol in sols.solutions or (
+            assert seed_sol in sols or (
                 abs(seed_sol[0]) > 45 or abs(seed_sol[1]) > 45
             )
-            for a, b in sols.solutions:
+            for a, b in sols:
                 assert check_vb_zero(a, b, inst, p)
 
 

@@ -1,8 +1,10 @@
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+from contextlib import redirect_stdout
 from pathlib import Path
 
 from hypothesis import given, settings
@@ -36,7 +38,7 @@ def test_ramified_tracking_is_skipped_not_passed(capsys):
     assert res.chart_prime == 7 and res.ledgers == ()
     # one solution, (0, -1): the census still runs, on depths only
     res = verify_instance(build([1, 0, 0, -7], 7), 5, 50, None)
-    assert res.solutions.solutions == ((0, -1),)
+    assert res.solutions == ((0, -1),)
     checks = {c.name: c for c in res.checks}
     assert checks["tracked_mode"].status == "skipped"
     assert checks["census_additive_term"].status == "ok"
@@ -52,7 +54,7 @@ def test_ramified_tracking_is_skipped_not_passed(capsys):
     res = verify_instance(build([3, -4, 5, -9, -9, 3], -21), 7, 20, None)
     checks = {c.name: c for c in res.checks}
     assert checks["tracked_mode"].status == "skipped"
-    assert res.solutions.solutions == ((-2, -1),)
+    assert res.solutions == ((-2, -1),)
     assert checks["w_equals_um(-2,-1)"] == Check(
         "w_equals_um(-2,-1)", "ok", "w=1 u_m=1, profile mode"
     )
@@ -82,7 +84,7 @@ def test_one_valuation_profile_per_solution(monkeypatch):
         checks = statuses(res)
         assert ("tracked_mode" not in checks) == tracked
         assert checks["census_additive_term"] == "ok"
-        assert sorted(calls) == sorted(res.solutions.solutions)
+        assert sorted(calls) == sorted(res.solutions)
 
 
 def test_no_chart_prime_is_skipped():
@@ -149,6 +151,28 @@ def test_tracked_instances_pass_every_check(seed):
     inst, sol = random_tracked_instance(rng, p)
     res = verify_instance(inst, p, 40, CHABAUTY)
     assert res.solutions == primitive_solutions(inst, 40)
-    assert sol in res.solutions.solutions
+    assert sol in res.solutions
     assert {c.status for c in res.checks} == {"ok"}
     assert res.chart_prime > inst.n and inst.h % res.chart_prime == 0
+
+
+def test_readme_library_example():
+    """The README "Library example" runs, and each commented print line
+    prints what its "# ..." comment says."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library example", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    expected = [
+        line.partition("#")[2].strip() or None
+        for line in block.splitlines()
+        if line.startswith("print(")
+    ]
+    out = io.StringIO()
+    with redirect_stdout(out):
+        exec(compile(block, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    assert len(printed) == len(expected) == 5
+    assert [want for want in expected if want] == ["3 256 True", "8", "17 8", "{'ok'}"]
+    for got, want in zip(printed, expected):
+        if want is not None:
+            assert got == want
