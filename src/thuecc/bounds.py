@@ -127,10 +127,10 @@ class BoundEntry:
     quantity: str
     exact: Fraction
     floor: int
-    conditional: bool = False
+    conditional: bool
 
     @classmethod
-    def make(cls, name, quantity, exact, conditional=False):
+    def make(cls, name, quantity, exact, conditional):
         exact = Fraction(exact)
         return cls(name, quantity, exact, math.floor(exact), conditional)
 

@@ -55,7 +55,7 @@ class ChartData:
     levels: tuple[tuple[ChartMember, ...], ...]
     u_seq: tuple[int, ...]
     w: int
-    rescale: int = 1
+    rescale: int
 
     def to_dict(self) -> dict:
         return {
@@ -73,26 +73,27 @@ class ChartData:
 
 
 def build_chart(
-    t: int,
-    gammas: list[tuple[int | float, int, int]],
+    t: Val,
+    gammas: list[tuple[Val, int, int]],
     self_multiplicity: int,
-    w: int,
-    root_index: int | None = None,
-    rescale: int = 1,
+    w: Val,
+    root_index: int | None,
 ) -> ChartData:
-    """Run the depth recursion on rescaled integer valuations.
+    """Run the depth recursion on the valuations rescaled to integers.
 
     gammas lists (value, multiplicity, root_ref) for every root other
-    than the chosen one; value is the integer valuation of the root
-    difference (INF never occurs for distinct roots).  The chosen root
-    contributes a member with gamma = 0 at the deepest level with
-    multiplicity self_multiplicity.
+    than the chosen one; value is the valuation of the root difference
+    (INF never occurs for distinct roots).  t, w and the gammas are
+    multiplied by their common denominator, the chart's rescale.  The
+    chosen root contributes a member with gamma = 0 at the deepest level
+    with multiplicity self_multiplicity.
     """
-    if t < 0 or any(v != INF and v < 0 for v, _, _ in gammas):
-        raise ChartError("valuations must be nonnegative after rescaling")
-    if any(v != INF and v != int(v) for v, _, _ in gammas):
-        raise ChartError("chart valuations must be integers; rescale first")
-    s_seq = [0] + sorted({int(v) for v, _, _ in gammas if v != INF and 0 < v <= t})
+    rescale = _common_rescale([v for v, _, _ in gammas] + [t, w])
+    t = int(t * rescale)
+    gammas = [(int(v * rescale), mult, ref) for v, mult, ref in gammas]
+    if t < 0 or any(v < 0 for v, _, _ in gammas):
+        raise ChartError("valuations must be nonnegative")
+    s_seq = [0] + sorted({v for v, _, _ in gammas if 0 < v <= t})
     if s_seq[-1] != t:
         s_seq.append(t)
     m = len(s_seq) - 1
@@ -101,7 +102,7 @@ def build_chart(
         if v >= s_seq[m]:
             levels[m].append(ChartMember(ref, v, mult))
         else:
-            k = s_seq.index(int(v)) if v in s_seq else None
+            k = s_seq.index(v) if v in s_seq else None
             if k is None or k == m:
                 raise ChartError(f"gamma valuation {v} missed the depth sequence")
             levels[k].append(ChartMember(ref, v, mult))
@@ -118,7 +119,7 @@ def build_chart(
         s_seq=tuple(s_seq),
         levels=tuple(tuple(lv) for lv in levels),
         u_seq=tuple(u_seq),
-        w=w,
+        w=int(Fraction(w) * rescale),
         rescale=rescale,
     )
 
@@ -137,8 +138,7 @@ def chart_from_profile(profile: SolutionValuationProfile, w: Val) -> ChartData:
     Requires the maximum t to be attained by exactly one entry: then
     every other root has v(a - alpha_j b) < t, which forces
     v(gamma_j) = v(a - alpha_j b), so the ledger is determined without
-    root identities.  Fractional valuations are cleared by the common
-    denominator.
+    root identities.
     """
     if profile.t == INF:
         raise ChartError("profile has an exact rational root hit; not a solution")
@@ -149,21 +149,12 @@ def chart_from_profile(profile: SolutionValuationProfile, w: Val) -> ChartData:
             f"maximum valuation attained {len(hits)} times; tracked mode required"
         )
     i0 = hits[0]
-    raw = [e.value for e in entries] + [profile.t, w]
-    e = _common_rescale(raw)
     gammas = [
-        (int(ent.value * e), ent.multiplicity, ent.root_index if ent.root_index is not None else j)
+        (ent.value, ent.multiplicity, ent.root_index if ent.root_index is not None else j)
         for j, ent in enumerate(entries)
         if j != i0
     ]
-    return build_chart(
-        t=int(profile.t * e),
-        gammas=gammas,
-        self_multiplicity=entries[i0].multiplicity,
-        w=int(Fraction(w) * e),
-        root_index=entries[i0].root_index,
-        rescale=e,
-    )
+    return build_chart(profile.t, gammas, entries[i0].multiplicity, w, entries[i0].root_index)
 
 
 def chart_from_tracked(
@@ -184,21 +175,12 @@ def chart_from_tracked(
     chosen = by_index[profile.argmax_index]
     if chosen.kind == "inert":
         raise ChartError("deepest root generates a residue extension; no chart")
-    raw_gammas = []
-    for r in tracked.roots:
-        if r.index == chosen.index:
-            continue
-        raw_gammas.append((tracked.root_difference(r, chosen), r.multiplicity, r.index))
-    e = _common_rescale([v for v, _, _ in raw_gammas] + [profile.t, w])
-    gammas = [(int(v * e), mult, ref) for v, mult, ref in raw_gammas]
-    return build_chart(
-        t=int(profile.t * e),
-        gammas=gammas,
-        self_multiplicity=chosen.multiplicity,
-        w=int(Fraction(w) * e),
-        root_index=chosen.index,
-        rescale=e,
-    )
+    gammas = [
+        (tracked.root_difference(r, chosen), r.multiplicity, r.index)
+        for r in tracked.roots
+        if r.index != chosen.index
+    ]
+    return build_chart(profile.t, gammas, chosen.multiplicity, w, chosen.index)
 
 
 def verify_w_equals_um(chart: ChartData) -> bool:

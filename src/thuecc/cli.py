@@ -274,7 +274,7 @@ def _emit(payload: dict, args) -> None:
         text = _render_text(payload)
     else:
         raise InputError(f"unknown format {fmt!r}")
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
     else:
@@ -317,19 +317,23 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="thuecc", description="Thue equation bound toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def add_common(sp):
+    def add_instance(name):
+        sp = sub.add_parser(name)
         sp.add_argument("--F", help="comma-separated coefficients, highest x power first")
         sp.add_argument("--h", type=int)
         sp.add_argument("--corpus", help="JSON-lines file of {coeffs, h}")
         sp.add_argument("--p", type=int, help="prime override (must exceed n)")
-        sp.add_argument("--box", type=_positive_int)
-        sp.add_argument("--precision", type=_positive_int)
-        sp.add_argument("--hypothesis", help="kind[:value], e.g. mw_rank_value:1")
         sp.add_argument("--format", choices=["json", "csv", "text"], default="json")
         sp.add_argument("--out")
+        return sp
 
-    for name in ("analyze", "bound", "verify"):
-        add_common(sub.add_parser(name))
+    add_instance("analyze")
+    bp = add_instance("bound")
+    vp = add_instance("verify")
+    vp.add_argument("--box", type=_positive_int)
+    vp.add_argument("--precision", type=_positive_int)
+    for sp in (bp, vp):
+        sp.add_argument("--hypothesis", help="kind[:value], e.g. mw_rank_value:1")
 
     fp = sub.add_parser("fermat")
     fp.add_argument("verb", choices=["construct", "check", "orbit"])
@@ -344,7 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--box", type=_positive_int, default=20)
     fp.add_argument("--symmetric", action="store_true")
     fp.add_argument("--hypothesis")
-    fp.add_argument("--format", choices=["json", "csv", "text"], default="json")
     fp.add_argument("--out")
     return parser
 

@@ -139,7 +139,6 @@ class TrackedRoot:
     rational: Fraction | None = None
     approx: int | None = None
     factor: IntPoly = ()
-    minpoly: IntPoly = ()  # exact integer polynomial this root satisfies
 
 
 @dataclass(frozen=True)
@@ -147,7 +146,6 @@ class TrackedRoots:
     p: int
     precision: int
     roots: tuple[TrackedRoot, ...]
-    partial: bool = False
 
     def residue(self, root: TrackedRoot) -> int:
         """The p-adic integer root as an integer mod p^N."""
@@ -222,9 +220,7 @@ def default_precision(instance: ThueInstance, p: int) -> int:
     return vp(instance.h, p) + (v_disc if sh.s >= 2 else 0) + 5
 
 
-def hensel_track_roots(
-    shape: FormShape, p: int, precision: int, partial: bool = False
-) -> TrackedRoots:
+def hensel_track_roots(shape: FormShape, p: int, precision: int) -> TrackedRoots:
     """Track the distinct roots of F(x,1) in unramified residue towers.
 
     Each squarefree part w_k is factored over Q; rational roots are kept
@@ -234,36 +230,26 @@ def hensel_track_roots(
 
     Raises RamifiedCase when some factor cannot be separated this way
     (genuinely ramified data, or clustered roots inside one irreducible
-    rational factor).  With partial=True such factors are skipped and the
-    result is flagged partial.
+    rational factor).
     """
     n = sum(shape.multiplicities) + shape.degree_deficit
     if n % p == 0:
         raise ValueError(f"tracking requires p not dividing the degree n={n}")
     entries: list[TrackedRoot] = []
-    skipped = False
     for mult, w in shape.sqf_parts:
         for q, _e in dup_factor_list(polyutil.to_dense(w), ZZ)[1]:
             qc = polyutil.from_dense(q)
             deg = polyutil.degree(qc)
             if deg == 1:
                 root = Fraction(-qc[0], qc[1])
-                entries.append(
-                    TrackedRoot(0, mult, "rational", rational=root, minpoly=qc)
-                )
+                entries.append(TrackedRoot(0, mult, "rational", rational=root))
                 continue
             if qc[-1] % p == 0:
-                if partial:
-                    skipped = True
-                    continue
                 raise RamifiedCase(
                     f"factor {qc} has p-divisible leading coefficient; monicize first"
                 )
             modular = polyutil.factor_mod_p(qc, p)
             if any(e > 1 for _, e in modular):
-                if partial:
-                    skipped = True
-                    continue
                 raise RamifiedCase(
                     f"factor {qc} is not squarefree mod {p}: roots cannot be "
                     "separated in unramified towers (profile mode still applies)"
@@ -275,18 +261,10 @@ def hensel_track_roots(
             lifted = dup_zz_hensel_lift(p, desc[0], desc[1:], precision, ZZ)
             for fac in (poly_mod(f[::-1], p**precision) for f in lifted):
                 if polyutil.degree(fac) == 1:
-                    entries.append(
-                        TrackedRoot(
-                            0,
-                            mult,
-                            "lifted",
-                            approx=(-fac[0]) % p**precision,
-                            factor=fac,
-                            minpoly=qc,
-                        )
-                    )
+                    approx = (-fac[0]) % p**precision
+                    entries.append(TrackedRoot(0, mult, "lifted", approx=approx, factor=fac))
                 else:
-                    entries.append(TrackedRoot(0, mult, "inert", factor=fac, minpoly=qc))
+                    entries.append(TrackedRoot(0, mult, "inert", factor=fac))
     # deterministic indexing: rational roots by value, then lifted by
     # approximation, then inert by factor
     def sort_key(r: TrackedRoot):
@@ -296,7 +274,7 @@ def hensel_track_roots(
 
     entries.sort(key=sort_key)
     roots = tuple(replace(r, index=i) for i, r in enumerate(entries))
-    return TrackedRoots(p=p, precision=precision, roots=roots, partial=skipped)
+    return TrackedRoots(p=p, precision=precision, roots=roots)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Regrowth guard: every top-level function and class in src/thuecc, and
-every method other than a dunder, has a caller outside the tests.
+"""Regrowth guards: every top-level function and class in src/thuecc,
+every method other than a dunder, and every dataclass field has a reader
+outside the tests; every function the benchmark tracer wraps exists.
 
 A definition counts as reached when its name is read (as a name or an
 attribute) somewhere in src/thuecc other than __init__.py and its own
@@ -7,11 +8,17 @@ body, or anywhere in perfbench/*.py, where the tracer also reaches
 functions by their names as strings.  A method's own class counts as
 somewhere else, so a helper method that a sibling method calls is
 reached.
+
+A dataclass field counts as read when an attribute of its name is loaded
+anywhere in src/thuecc or perfbench/*.py, its own class's methods (such
+as to_dict) included.  A keyword in a constructor call or in
+dataclasses.replace is a write, not a read.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -78,3 +85,70 @@ def unreached_definitions(src: Path = SRC, perfbench: Path = PERFBENCH) -> list[
 
 def test_every_definition_has_a_caller_outside_the_tests():
     assert unreached_definitions() == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def unread_fields(src: Path = SRC, perfbench: Path = PERFBENCH) -> list[str]:
+    """module.Class.field of every dataclass field that no attribute load
+    in src/thuecc or perfbench/*.py reads."""
+    modules = {path.stem: ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))}
+    bench = [ast.parse(path.read_text()) for path in sorted(perfbench.glob("*.py"))]
+    loaded = {
+        node.attr
+        for tree in [*modules.values(), *bench]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = []
+    for mod, tree in modules.items():
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            for stmt in node.body:
+                if (
+                    isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                    and stmt.target.id not in loaded
+                ):
+                    unread.append(f"{mod}.{node.name}.{stmt.target.id}")
+    return unread
+
+
+def test_every_dataclass_field_is_read_outside_the_tests():
+    assert unread_fields() == []
+
+
+def tracer_targets(perfbench: Path = PERFBENCH) -> list[tuple[str, str]]:
+    """(layer, function) of every entry of TARGETS in perfbench/tracing.py,
+    read from the file without importing it."""
+    tree = ast.parse((perfbench / "tracing.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets
+        ):
+            return [(entry.elts[0].value, entry.elts[1].value) for entry in node.value.elts]
+    raise AssertionError("perfbench/tracing.py defines no TARGETS")
+
+
+# the tracer wraps this classmethod on its class, not a module function
+TRACER_CLASS_TARGETS = {("forms", "build"): "ThueInstance"}
+
+
+def test_every_tracer_target_resolves():
+    targets = tracer_targets()
+    assert targets
+    missing = []
+    for layer, fn in targets:
+        owner = importlib.import_module(f"thuecc.{layer}")
+        if (layer, fn) in TRACER_CLASS_TARGETS:
+            owner = getattr(owner, TRACER_CLASS_TARGETS[layer, fn])
+        if not hasattr(owner, fn):
+            missing.append(f"{layer}.{fn}")
+    assert missing == []

@@ -8,6 +8,7 @@ from thuecc.charts import (
     SELF,
     AmbiguousArgmax,
     ChartError,
+    ChartMember,
     build_chart,
     chart_from_profile,
     chart_from_tracked,
@@ -95,11 +96,14 @@ def test_chart_ambiguous_argmax_rejected():
         chart_from_profile(prof, polyutil.vp(h, 5))
 
 
-def test_build_chart_rejects_fractional():
+def test_build_chart_rescales_half_integer():
     from fractions import Fraction
 
-    with pytest.raises(ChartError):
-        build_chart(1, [(Fraction(1, 2), 1, 0)], 1, 2)
+    chart = build_chart(1, [(Fraction(1, 2), 1, 0)], 1, Fraction(3, 2), 1)
+    assert chart.rescale == 2
+    assert (chart.t, chart.s_seq, chart.u_seq, chart.w) == (2, (0, 1, 2), (0, 2, 3), 3)
+    assert chart.levels[1] == (ChartMember(0, 1, 1),)
+    assert verify_w_equals_um(chart)
 
 
 def test_w_equals_um_randomized():

@@ -205,6 +205,15 @@ def test_input_errors(tmp_path, capsys):
     assert "hypothesis value must be an integer" in capsys.readouterr().err
     assert main(["bound", "--F", "1,0,0,0,1", "--h", "17",
                  "--hypothesis", "mw_rank_value:-2"]) == 3
+    # each command takes only the flags it reads
+    instance = ["--F", "1,0,0,0,1", "--h", "17"]
+    assert main(["analyze", *instance, "--box", "5"]) == 3
+    assert main(["analyze", *instance, "--precision", "3"]) == 3
+    assert main(["analyze", *instance, "--hypothesis", "chabauty_lt_g"]) == 3
+    assert main(["bound", *instance, "--box", "5"]) == 3
+    assert main(["bound", *instance, "--precision", "3"]) == 3
+    assert main(["fermat", "orbit", "--t", "1,2,1", "--n", "4", "--format", "csv"]) == 3
+    assert capsys.readouterr().out == ""
 
 
 def test_random_argv_exits_cleanly(capsys):
@@ -217,24 +226,30 @@ def test_random_argv_exits_cleanly(capsys):
         "chabauty_lt_g", "chabauty_lt_g:zz", "mw_rank_value:1", "mw_rank_value:x",
         "mw_rank_value:-2", "mw_lt_threshold:3", "mw_lt_threshold:", "bogus:1",
     ]
+    exited_ok = set()  # a flag the parser drops would make every call a usage error
     for _ in range(200):
         n = rng.randint(2, 6)
         coeffs = [rng.randint(-9, 9) for _ in range(n + 1)]
         h = rng.choice([0, 1, -1, 17, 35, 77, 2 * 7**3, rng.randint(-500, 500)])
-        argv = [rng.choice(["analyze", "bound", "verify"]),
-                "--F=" + ",".join(map(str, coeffs)), "--h", str(h),
-                "--box", str(rng.randint(1, 20))]
+        cmd = rng.choice(["analyze", "bound", "verify"])
+        argv = [cmd, "--F=" + ",".join(map(str, coeffs)), "--h", str(h)]
+        box = rng.randint(1, 20)
+        if cmd == "verify":
+            argv += ["--box", str(box)]
         p = None
         if rng.random() < 0.5:
             p = rng.choice([0, 1, 2, 4, 5, 6, 7, 11, -5])
             argv += ["--p", str(p)]
-        if rng.random() < 0.5:
-            argv += ["--precision", str(rng.randint(1, 50))]
+        precision = rng.randint(1, 50) if rng.random() < 0.5 else None
+        if precision and cmd == "verify":
+            argv += ["--precision", str(precision)]
         hypothesis = rng.choice(hypotheses) if rng.random() < 0.5 else None
-        if hypothesis:
+        if hypothesis and cmd != "analyze":
             argv += ["--hypothesis", hypothesis]
         code = main(argv)
         assert code in (0, 2, 3), argv
+        if code == 0:
+            exited_ok.add(cmd)
         if p in (0, 1, 4, 6, -5):
             assert code == 3, argv
         out = capsys.readouterr().out
@@ -243,6 +258,7 @@ def test_random_argv_exits_cleanly(capsys):
             checks = [c["status"] for r in rows for c in r["checks"]]
             assert set(checks) <= {"ok", "fail", "skipped"}, argv
             assert (code == 2) == ("fail" in checks), argv
+    assert exited_ok == {"analyze", "bound", "verify"}
     # fermat verbs: malformed triples, n and p outside their range
     triples = ["1,2,1", "2,1,1", "1,1,1", "0,0,0", "3,-2,5", "1,2", "1,2,3,4",
                "a,b,c", "", "1,,2"]

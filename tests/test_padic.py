@@ -165,14 +165,6 @@ def test_hensel_ramified_raises():
         hensel_track_roots(sh, 5, 3)
 
 
-def test_hensel_partial_mode():
-    # (x^2 - 5)(x - 1): ramified quadratic part skipped, rational root kept
-    form = BinaryForm.from_coeffs([1, -1, -5, 5])
-    tr = hensel_track_roots(factor_shape(form), 5, 3, partial=True)
-    assert tr.partial
-    assert [r.kind for r in tr.roots] == ["rational"]
-
-
 def test_hensel_rational_roots_exact():
     sh = factor_shape(BinaryForm.from_coeffs([1, -3, 2]))  # (x-1)(x-2)
     tr = hensel_track_roots(sh, 5, 2)
@@ -191,20 +183,22 @@ def test_hensel_lifted_roots_satisfy_minpoly():
         form = BinaryForm.from_coeffs(list(reversed(coeffs)))
         sh = factor_shape(form)
         prec = 6
+        pn = p**prec
         try:
             tr = hensel_track_roots(sh, p, prec)
         except (RamifiedCase, ValueError):
             continue
+        # F(x,1) is monic, so its rational factors have leading coefficient +-1
+        minpolys = [polyutil.scale(q, q[-1]) for q in rational_factors(form.dehomogenized())]
         for r in tr.roots:
             if r.kind == "lifted":
-                val = evaluate(r.minpoly, r.approx)
-                assert val % p**prec == 0
+                assert evaluate(form.dehomogenized(), r.approx) % pn == 0
+                assert any(evaluate(q, r.approx) % pn == 0 for q in minpolys)
             elif r.kind == "inert":
-                # the lifted factor divides its minimal polynomial mod p^prec
-                lc_inv = pow(r.minpoly[-1], -1, p**prec)
-                monic = tuple(c * lc_inv % p**prec for c in r.minpoly)
-                _, rem = divmod_monic(monic, r.factor)
-                assert not polyutil.poly_mod(rem, p**prec)
+                # the lifted factor divides a minimal polynomial mod p^prec
+                assert any(
+                    not polyutil.poly_mod(divmod_monic(q, r.factor)[1], pn) for q in minpolys
+                )
         done += 1
 
 
@@ -217,32 +211,29 @@ def test_hensel_lifted_roots_satisfy_minpoly():
 )
 @settings(max_examples=100, deadline=None)
 def test_hensel_lift_properties(lead, sign, tail, p, N):
-    """Every rational factor q of F(x,1) that is squarefree mod p is
-    tracked through monic lifts of its factors mod p, reduced into
-    [0, p^N), whose product is q / lc(q) mod p^N."""
-    n = len(tail)
-    assume(n % p != 0)
+    """Every rational factor q of F(x,1) that is squarefree mod p, tracked
+    on its own, yields monic lifts of its factors mod p, reduced into
+    [0, p^N), whose product is q / lc(q) mod p^N.  Tracking lifts each
+    factor independently, so these are the lifts it gives q inside F;
+    a factor with p | deg q is skipped, since tracking needs p coprime
+    to the degree."""
     form = BinaryForm.from_coeffs([sign * lead] + tail)  # non-monic, degree <= 10
-    tracked = hensel_track_roots(factor_shape(form), p, N, partial=True)
     pn = p**N
-    lifts: dict = {}
-    for r in tracked.roots:
-        if r.kind != "rational":
-            lifts.setdefault(r.minpoly, []).append(r.factor)
     for q in rational_factors(form.dehomogenized()):
-        if polyutil.degree(q) < 2 or q[-1] % p == 0:
+        if polyutil.degree(q) < 2 or polyutil.degree(q) % p == 0 or q[-1] % p == 0:
             continue
         modular = polyutil.factor_mod_p(q, p)
         if any(e > 1 for _, e in modular):
             continue
-        got = lifts.pop(q)
+        tracked = hensel_track_roots(factor_shape(BinaryForm.from_coeffs(q[::-1])), p, N)
+        got = [r.factor for r in tracked.roots]
+        assert all(r.kind != "rational" for r in tracked.roots)
         assert all(f[-1] == 1 and min(f) >= 0 and max(f) < pn for f in got)
         assert sorted(polyutil.poly_mod(f, p) for f in got) == sorted(f for f, _ in modular)
         product = (1,)
         for f in got:
             product = polyutil.poly_mod(polyutil.mul(product, f), pn)
         assert product == polyutil.poly_mod(polyutil.scale(q, pow(q[-1], -1, pn)), pn)
-    assert not lifts
 
 
 def test_tracked_residue():
@@ -251,8 +242,7 @@ def test_tracked_residue():
     tr = hensel_track_roots(factor_shape(form), 7, 3)
     assert sorted(r.kind for r in tr.roots) == ["lifted", "lifted", "rational"]
     for r in tr.roots:
-        res = tr.residue(r)
-        assert evaluate(r.minpoly, res) % 343 == 0
+        assert evaluate(form.dehomogenized(), tr.residue(r)) % 343 == 0
     # 1/7 is not 7-integral, and x^2 + x + 1 is inert at 5
     tr = hensel_track_roots(factor_shape(BinaryForm.from_coeffs([7, -1])), 7, 2)
     with pytest.raises(ValueError):
