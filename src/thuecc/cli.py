@@ -211,7 +211,13 @@ def cmd_verify(args) -> tuple[dict, int]:
     return {"command": "verify", "rows": rows}, code
 
 
-_FERMAT_REQUIRED = {"construct": ("t1", "t2"), "check": ("A", "B", "C", "p"), "orbit": ("t",)}
+# the options each fermat verb reads, (required, optional); no two verbs
+# share one, and --n and --out are common to all three
+_FERMAT_OPTIONS = {
+    "construct": (("t1", "t2"), ()),
+    "check": (("A", "B", "C", "p"), ("box", "hypothesis")),
+    "orbit": (("t",), ("symmetric",)),
+}
 
 
 def _parse_triple(text: str) -> fm.SolutionTriple:
@@ -222,9 +228,19 @@ def _parse_triple(text: str) -> fm.SolutionTriple:
 
 
 def cmd_fermat(args) -> tuple[dict, int]:
-    missing = [f"--{k}" for k in _FERMAT_REQUIRED[args.verb] if getattr(args, k) is None]
+    required, optional = _FERMAT_OPTIONS[args.verb]
+    missing = [f"--{k}" for k in required if getattr(args, k) is None]
     if missing:
         raise InputError(f"fermat {args.verb} requires {', '.join(missing)}")
+    unread = [
+        f"--{k}"
+        for verb, (req, opt) in _FERMAT_OPTIONS.items()
+        if verb != args.verb
+        for k in req + opt
+        if getattr(args, k) not in (None, False)
+    ]
+    if unread:
+        raise InputError(f"fermat {args.verb} does not take {', '.join(unread)}")
     if args.verb == "construct":
         t1 = _parse_triple(args.t1)
         t2 = _parse_triple(args.t2)
@@ -233,7 +249,7 @@ def cmd_fermat(args) -> tuple[dict, int]:
     if args.verb == "check":
         twist = fm.FermatTwist(args.A, args.B, args.C, args.n)
         hyp = _parse_hypothesis(args.hypothesis)
-        rep = fm.unique_triple_check(twist, args.p, hyp, box=args.box)
+        rep = fm.unique_triple_check(twist, args.p, hyp, box=args.box or 20)
         payload = {
             "command": "fermat check",
             "twist": twist.to_dict(),
@@ -345,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--B", type=int)
     fp.add_argument("--C", type=int)
     fp.add_argument("--p", type=int)
-    fp.add_argument("--box", type=_positive_int, default=20)
+    fp.add_argument("--box", type=_positive_int)
     fp.add_argument("--symmetric", action="store_true")
     fp.add_argument("--hypothesis")
     fp.add_argument("--out")

@@ -14,10 +14,11 @@ h.  A column x whose row of roots is empty mod q1, q2 or q3 holds no
 solution and is skipped before any candidate is built.
 
 Every evaluation of a binary form over F_q (the sieve tables, the
-affine and projective point counts) goes through one Horner sweep of
-F(1, t), _value_buckets, which groups the t by the value F(1, t).  The
-sieve tables read from it the roots in y for every x mod q (_rows,
-sorted by root_table).  The point counts read it line by line: the
+affine and projective point counts) goes through one kernel, _values,
+which evaluates F(1, t) on every t in F_q at once by Horner's rule, one
+pass over the list per coefficient.  The sieve tables group its
+list by value and read the roots in y for every x mod q (_rows, sorted
+by root_table).  The point counts count its values line by line: the
 affine points off the origin lie on the lines (l, l t) and (0, l), and
 on a line of F-value v != 0 the equation l^n v = h has d = gcd(n, q - 1)
 solutions when v / h is a d-th power and none otherwise, so one table of
@@ -29,6 +30,7 @@ solution pairs and residue_class_census the sorted tuple of classes.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Sequence
 from math import gcd, isqrt
 
@@ -99,7 +101,10 @@ def _prime_not_dividing(h: int, start: int) -> int:
 def root_table(coeffs, h: int, q: int) -> list[list[int]]:
     """Row x in F_q (q prime): the y, ascending, with sum_i coeffs[i]
     x^(n-i) y^i = h mod q, coeffs in BinaryForm order."""
-    rows = _rows(coeffs, h, q, _value_buckets(coeffs, q))
+    buckets: dict[int, list[int]] = {}
+    for t, v in enumerate(_values(coeffs, q)):
+        buckets.setdefault(v, []).append(t)
+    rows = _rows(coeffs, h, q, buckets)
     table = [next(rows)]
     table += [sorted(x * t % q for t in ts) for x, ts in enumerate(rows, 1)]
     return table
@@ -122,8 +127,8 @@ def _line_counts(coeffs, h: int, q: int) -> tuple[int, int]:
     q - 1) roots when v / h is a nonzero d-th power and none otherwise.
     """
     n = len(coeffs) - 1
-    buckets = _value_buckets(coeffs, q)
-    zeros = len(buckets.get(0, ())) + (coeffs[-1] % q == 0)
+    counts = Counter(_values(coeffs, q))
+    zeros = counts[0] + (coeffs[-1] % q == 0)
     if h % q == 0:
         return 1 + (q - 1) * zeros, zeros
     d = gcd(n, q - 1)
@@ -131,7 +136,7 @@ def _line_counts(coeffs, h: int, q: int) -> tuple[int, int]:
     for x in range(1, q):
         power[x**d % q] = 1
     h_inv = pow(h, -1, q)
-    lines = sum(len(ts) for v, ts in buckets.items() if power[v * h_inv % q])
+    lines = sum(m for v, m in counts.items() if power[v * h_inv % q])
     lines += power[coeffs[-1] * h_inv % q]
     return d * lines, zeros
 
@@ -150,16 +155,14 @@ def _rows(coeffs, h: int, q: int, buckets):
         yield buckets.get(target * pow(x, -n, q) % q, ())
 
 
-def _value_buckets(coeffs, q: int) -> dict[int, list[int]]:
-    """The t in F_q, ascending, grouped by the value F(1, t) mod q."""
-    cs = [c % q for c in reversed(coeffs)]
-    buckets: dict[int, list[int]] = {}
-    for t in range(q):
-        acc = 0
-        for c in cs:
-            acc = (acc * t + c) % q
-        buckets.setdefault(acc, []).append(t)
-    return buckets
+def _values(coeffs, q: int) -> list[int]:
+    """F(1, t) mod q for t = 0, 1, ..., q - 1, by Horner's rule run on
+    every t at once: one pass over the list per coefficient."""
+    values = [coeffs[-1] % q] * q
+    for c in reversed(coeffs[:-1]):
+        c %= q
+        values = [(v * t + c) % q for v, t in zip(values, range(q))]
+    return values
 
 
 def primitive_solutions(instance: ThueInstance, box: int) -> tuple[tuple[int, int], ...]:

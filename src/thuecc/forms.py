@@ -8,9 +8,12 @@ pairwise root-difference product d*(F), irreducibility of that model,
 and a unimodular change of variables making the leading coefficient a
 p-adic unit.
 
-Roots are never materialized: multiplicities come from squarefree
-decomposition over Q (gcd chains), and d* comes from the discriminant of
-the squarefree part, both Galois-stable computations.
+Roots are never materialized.  The integer discriminant of F(x,1)
+decides first: when it is nonzero every root is simple, and F(x,1) is
+its own squarefree part.  Only when it is 0 do the multiplicities come
+from the squarefree decomposition over Q (gcd chains).  d* comes from
+the discriminant of the squarefree part; all of these are Galois-stable
+computations.
 """
 
 from __future__ import annotations
@@ -72,8 +75,9 @@ class FormShape:
 
     s counts the distinct roots in the algebraic closure; degree_deficit
     is the multiplicity of the root at infinity (the power of y dividing
-    F).  sqf_parts pairs each multiplicity k with the primitive integer
-    polynomial whose roots are exactly the multiplicity-k roots.
+    F).  discriminant is disc(radical), 0 when s = 0.  sqf_parts pairs
+    each multiplicity k with the primitive integer polynomial whose
+    roots are exactly the multiplicity-k roots.
     """
 
     s: int
@@ -81,6 +85,7 @@ class FormShape:
     lead: int
     radical: IntPoly
     degree_deficit: int
+    discriminant: int
     sqf_parts: tuple[tuple[int, IntPoly], ...] = field(default=())
 
     def all_multiplicities(self) -> tuple[int, ...]:
@@ -92,29 +97,36 @@ class FormShape:
 def factor_shape(form: BinaryForm) -> FormShape:
     """Compute the factorization shape of F(x,1).
 
-    Multiplicities are obtained from the squarefree decomposition over
-    the rationals; the part of multiplicity k contributes deg(w_k) roots
-    of multiplicity k each.
+    A nonzero discriminant of primitive(F(x,1)) means every root is
+    simple, and F(x,1) is its own squarefree part.  Otherwise the
+    multiplicities come from the squarefree decomposition over the
+    rationals: the part of multiplicity k contributes deg(w_k) roots of
+    multiplicity k each.
     """
     f = form.dehomogenized()
     n = form.degree
-    if not f:
-        # F = c*y^n exactly
-        return FormShape(0, (), form.coeffs[-1], (1,), n, ())
     deficit = n - polyutil.degree(f)
-    parts = polyutil.sqf_parts(f)
-    mults: list[int] = []
-    rad: IntPoly = (1,)
-    for k, w in parts:
-        mults.extend([k] * polyutil.degree(w))
-        rad = polyutil.mul(rad, w)
-    rad = polyutil.primitive(rad)
+    rad = polyutil.primitive(f)
+    disc = polyutil.discriminant(rad)
+    if disc:
+        parts = [(1, rad)]
+        mults = [1] * polyutil.degree(rad)
+    else:
+        parts = polyutil.sqf_parts(f)
+        mults = []
+        rad = (1,)
+        for k, w in parts:
+            mults.extend([k] * polyutil.degree(w))
+            rad = polyutil.mul(rad, w)
+        rad = polyutil.primitive(rad)
+        disc = polyutil.discriminant(rad)
     return FormShape(
         s=len(mults),
         multiplicities=tuple(mults),
         lead=f[-1],
         radical=rad,
         degree_deficit=deficit,
+        discriminant=disc,
         sqf_parts=tuple(parts),
     )
 
@@ -149,10 +161,9 @@ def dstar(shape: FormShape) -> Fraction:
     s = shape.s
     if s <= 1:
         return Fraction(shape.lead)
-    disc = polyutil.discriminant(shape.radical)
     lc = shape.radical[-1]
     sign = -1 if (s * (s - 1) // 2) % 2 else 1
-    return Fraction(shape.lead) * sign * Fraction(disc, lc ** (2 * s - 2))
+    return Fraction(shape.lead) * sign * Fraction(shape.discriminant, lc ** (2 * s - 2))
 
 
 def power_gcd(shape: FormShape, n: int) -> int:

@@ -2,9 +2,10 @@
 
 Univariate integer polynomials are plain tuples of coefficients in
 *ascending* order: ``poly[k]`` is the coefficient of x^k.  The zero
-polynomial is the empty tuple.  Every sympy call in the package is
-either a dense ``dup_*``/``dmp_*``/``gf_*`` kernel on descending
-coefficient lists such as ``to_dense(f)`` (discriminants, the difference
+polynomial is the empty tuple.  Discriminants are computed here in
+plain integers, by the subresultant PRS.  Every sympy call in the
+package is either a dense ``dup_*``/``dmp_*``/``gf_*`` kernel on
+descending coefficient lists such as ``to_dense(f)`` (the difference
 resolvent, squarefree decomposition, factorization over Q and mod p,
 Hensel lifting) or an integer function (``isprime``, ``nextprime``,
 ``totient``, ``primitive_root``, ``integer_nthroot``);
@@ -17,7 +18,7 @@ from fractions import Fraction
 from math import comb, gcd
 
 from sympy import ZZ
-from sympy.polys.euclidtools import dmp_resultant, dup_discriminant
+from sympy.polys.euclidtools import dmp_resultant
 from sympy.polys.galoistools import gf_factor, gf_from_int_poly
 from sympy.polys.sqfreetools import dup_sqf_list
 
@@ -132,7 +133,52 @@ def sqf_parts(f) -> list[tuple[int, IntPoly]]:
 
 
 def discriminant(f) -> int:
-    return int(dup_discriminant(to_dense(f), ZZ))
+    """disc(f) = (-1)^(n(n-1)/2) Res(f, f') / lc(f) for f of degree n >= 1,
+    and 0 for a constant f.
+
+    Res(f, f') comes from the subresultant pseudo-remainder sequence on
+    the primitive parts of f and f' (Collins; Cohen, A Course in
+    Computational Algebraic Number Theory, Alg. 3.3.7), whose divisions
+    by g h^delta are exact, so every intermediate value is an integer.
+    """
+    a = to_dense(f)
+    n = len(a) - 1
+    if n < 1:
+        return 0
+    lc = a[0]
+    b = [(n - i) * c for i, c in enumerate(a[:-1])]
+    ca, cb = content(a), content(b)
+    t = ca ** (n - 1) * cb**n  # Res(ca A, cb B) = ca^deg B cb^deg A Res(A, B)
+    a, b = [c // ca for c in a], [c // cb for c in b]
+    s, g, h = 1, 1, 1
+    while len(b) > 1:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 and db % 2:
+            s = -s
+        r = _prem(a, b)
+        a, b = b, [c // (g * h**delta) for c in r]
+        g = a[0]
+        h = g**delta // h ** (delta - 1)  # delta >= 1: degrees fall
+    if not b:
+        return 0
+    da = len(a) - 1
+    res = s * t * (b[0] ** da // h ** (da - 1))
+    sign = -1 if (n * (n - 1) // 2) % 2 else 1
+    return sign * res // lc
+
+
+def _prem(a: list[int], b: list[int]) -> list[int]:
+    """Pseudo-remainder of descending lists, deg a >= deg b >= 1: the
+    remainder of lc(b)^(deg a - deg b + 1) a by b, leading zeros dropped."""
+    lb, m = b[0], len(b)
+    r = a
+    for _ in range(len(a) - m + 1):
+        lr = r[0]
+        r = [lb * c - lr * d for c, d in zip(r[1:], b[1:])] + [lb * c for c in r[m:]]
+    while r and r[0] == 0:
+        r = r[1:]
+    return r
 
 
 def difference_resolvent(f) -> IntPoly:

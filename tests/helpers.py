@@ -1,8 +1,9 @@
 """Shared test utilities: random instance generators and independent
 oracles (brute-force Z_p root counting, partition enumeration, Sylvester
-resultants, products over root differences, factoring over Q, the
-jacobian decomposition under the order-n automorphism, the swapped form,
-v_p(F(a, b)) from a valuation profile, a bound report's entry by name)."""
+resultants, products over root differences, factoring over Q, sympy's
+discriminant and squarefree split, the jacobian decomposition under the
+order-n automorphism, the swapped form, v_p(F(a, b)) from a valuation
+profile, a bound report's entry by name)."""
 
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ from math import gcd, lcm
 import sympy
 from sympy import ZZ
 from sympy.polys.densearith import dup_div
+from sympy.polys.euclidtools import dup_discriminant
+from sympy.polys.sqfreetools import dup_sqf_list
 
 from thuecc import polyutil
 from thuecc.forms import BinaryForm, ThueInstance
@@ -231,6 +234,35 @@ def difference_product(lead: int, roots) -> tuple[int, ...]:
             # multiply by (x - d): shift up and subtract d times the old list
             out = [-d * out[0]] + [out[k - 1] - d * out[k] for k in range(1, len(out))] + [out[-1]]
     return tuple(out)
+
+
+def sympy_discriminant(f) -> int:
+    """disc(f) of an ascending integer polynomial, from sympy's dense
+    dup_discriminant (1 in degree 1, 0 for a constant)."""
+    return int(dup_discriminant(polyutil.to_dense(f), ZZ))
+
+
+def sympy_shape(form: BinaryForm) -> tuple:
+    """(s, multiplicities, lead, radical, degree_deficit, sqf_parts, d*)
+    of F(x,1), from sympy's full squarefree split dup_sqf_list and its
+    dup_discriminant of the radical: d* = lead (-1)^(s(s-1)/2)
+    disc(radical) / lc(radical)^(2s-2), or lead when s <= 1."""
+    f = form.dehomogenized()
+    _, split = dup_sqf_list(polyutil.to_dense(f), ZZ)
+    parts = sorted((int(k), polyutil.primitive(polyutil.from_dense(w))) for w, k in split)
+    parts = [(k, w) for k, w in parts if len(w) >= 2]
+    mults = tuple(k for k, w in parts for _ in range(len(w) - 1))
+    rad = (1,)
+    for _, w in parts:
+        rad = polyutil.mul(rad, w)
+    rad = polyutil.primitive(rad)
+    s = len(mults)
+    d = Fraction(f[-1])
+    if s >= 2:
+        sign = -1 if (s * (s - 1) // 2) % 2 else 1
+        d *= sign * Fraction(sympy_discriminant(rad), rad[-1] ** (2 * s - 2))
+    deficit = form.degree - (len(f) - 1)
+    return (s, mults, f[-1], rad, deficit, tuple(parts), d)
 
 
 def rational_factors(f) -> list[tuple[int, ...]]:

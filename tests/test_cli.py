@@ -1,9 +1,13 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from thuecc.cli import main
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
+CORPUS_MIXED = REFERENCE / "corpus_mixed.json"
 
 
 def run(capsys, *argv):
@@ -133,6 +137,22 @@ def test_verify_deterministic(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+def test_analyze_matches_the_corpus_reference(capsys):
+    # every warm-up and pool entry of corpus-mixed, degrees 3-12, as
+    # recorded by perfbench
+    ref = json.loads(CORPUS_MIXED.read_text())
+    items = ref["warmup"] + ref["pool"]
+    assert len(items) == 302
+    fields = ("genus", "dstar", "s", "irreducible", "case_at_bertrand")
+    for item in items:
+        coeffs = ",".join(map(str, item["coeffs"]))
+        code, out = run(capsys, "analyze", f"--F={coeffs}", "--h", str(item["h"]))
+        row = json.loads(out)["rows"][0]
+        expect = item["expect"]["analyze"]
+        assert code == item["expect"]["exit"][0], item
+        assert {k: row[k] for k in fields} == {k: expect[k] for k in fields}, item
+
+
 def test_input_errors(tmp_path, capsys):
     assert main(["analyze", "--F", "1,0,1"]) == 3  # missing --h
     assert main(["analyze", "--F", "abc", "--h", "3"]) == 3
@@ -166,6 +186,17 @@ def test_input_errors(tmp_path, capsys):
     assert main(["fermat", "check", "--n", "4", "--p", "5"]) == 3  # no --A/--B/--C
     assert main(["fermat", "construct", "--t1", "1,2", "--t2", "2,1,1", "--n", "3"]) == 3
     assert main(["fermat", "orbit", "--n", "4"]) == 3  # no --t
+    # options another verb reads are rejected, each one named
+    argv = ["fermat", "orbit", "--t", "1,2,1", "--n", "4"]
+    argv += ["--box", "5", "--p", "3", "--hypothesis", "bogus"]
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert "fermat orbit does not take --p, --box, --hypothesis" in capsys.readouterr().err
+    assert main(["fermat", "orbit", "--t", "1,2,1", "--n", "4", "--A", "7"]) == 3
+    argv = ["fermat", "construct", "--t1=1,2,1", "--t2=1,3,2", "--n", "4"]
+    argv += ["--symmetric", "--t", "1,1,1"]
+    assert main(argv) == 3
+    assert "fermat construct does not take --t, --symmetric" in capsys.readouterr().err
     assert main(["verify", "--F", "1,0,0,0,1", "--h", "17", "--precision", "1"]) == 3
     assert main(["verify", "--F", "1,0,0,0,1", "--h", "17", "--precision", "-3"]) == 3
     capsys.readouterr()

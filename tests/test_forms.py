@@ -1,11 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import form_value, product_form, random_form, swapped
+from helpers import form_value, product_form, random_form, swapped, sympy_discriminant, sympy_shape
+from thuecc import polyutil
 from thuecc.forms import (
     BinaryForm,
     FormError,
@@ -109,6 +111,53 @@ def test_dstar_invariant_under_root_order():
     for _ in range(5):
         rng.shuffle(roots)
         assert dstar(factor_shape(product_form(roots, [1] * 4))) == base
+
+
+def _times(f, g):
+    """Product of two binary forms, as coefficient sequences."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def test_factor_shape_and_dstar_match_sympy():
+    # random forms times a squared form (repeated roots), x^k (a root at
+    # 0), y^k (a root at infinity) and a constant (content > 1)
+    rng = random.Random(17)
+    for _ in range(300):
+        coeffs = list(random_form(rng, rng.randint(1, 6)).coeffs)
+        if rng.random() < 0.5:
+            g = random_form(rng, rng.randint(1, 2), -3, 3).coeffs
+            coeffs = _times(_times(coeffs, g), g)
+        if rng.random() < 0.3:
+            coeffs += [0] * rng.randint(1, 2)
+        if rng.random() < 0.3:
+            coeffs = [0] * rng.randint(1, 2) + coeffs
+        if rng.random() < 0.3:
+            coeffs = [c * rng.choice([-2, 3, 6]) for c in coeffs]
+        form = BinaryForm.from_coeffs(coeffs)
+        sh = factor_shape(form)
+        got = (sh.s, sh.multiplicities, sh.lead, sh.radical, sh.degree_deficit, sh.sqf_parts)
+        assert got + (dstar(sh),) == sympy_shape(form), coeffs
+        assert sh.discriminant == sympy_discriminant(sh.radical)
+
+
+def test_build_splits_only_forms_with_repeated_roots(monkeypatch):
+    calls = Counter()
+    for name in ("sqf_parts", "discriminant"):
+
+        def counted(f, name=name, real=getattr(polyutil, name)):
+            calls[name] += 1
+            return real(f)
+
+        monkeypatch.setattr(polyutil, name, counted)
+    ThueInstance.build(BinaryForm.from_coeffs([1, 0, 0, 0, 1]), 17)
+    assert calls == {"discriminant": 1}
+    calls.clear()
+    ThueInstance.build(product_form([1, -2], [2, 1]), 5)  # (x - y)^2 (x + 2y)
+    assert calls == {"sqf_parts": 1, "discriminant": 2}
 
 
 def test_irreducibility():

@@ -78,7 +78,7 @@ def test_difference_valuations_examples():
 
 def test_difference_valuations_rejects_non_squarefree_radical():
     # (x - 1)^2 (x + 2) = x^3 - 3x + 2 passed off as three distinct roots
-    sh = FormShape(3, (1, 1, 1), 1, (2, -3, 0, 1), 0)
+    sh = FormShape(3, (1, 1, 1), 1, (2, -3, 0, 1), 0, 0)
     with pytest.raises(ValueError, match="not squarefree"):
         difference_valuations(sh, 5)
 

@@ -1,17 +1,18 @@
-"""Properties of the dense sympy kernels in polyutil (discriminant,
-difference resolvent, squarefree split, factorization mod p), each
-checked against an oracle that shares no code with the kernel: products
-of root differences, Sylvester determinants over Fraction and brute
-force over F_p."""
+"""Properties of the polynomial kernels in polyutil (the integer
+discriminant, and the dense sympy kernels for the difference resolvent,
+the squarefree split and factorization mod p), each checked against an
+oracle that shares no code with the kernel: products of root
+differences, Sylvester determinants over Fraction, sympy's
+dup_discriminant and brute force over F_p."""
 
 from collections import Counter
 from itertools import combinations, permutations
 from math import gcd, prod
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import derivative, difference_product, sylvester_resultant
+from helpers import derivative, difference_product, sylvester_resultant, sympy_discriminant
 from thuecc import polyutil
 from thuecc.forms import FormShape
 from thuecc.padic import difference_valuations
@@ -80,6 +81,40 @@ def test_discriminant_is_product_of_root_differences(lc, roots):
 
 
 @st.composite
+def discriminant_polys(draw):
+    """c x^k g^2 b of degree 1..12: g^2 gives repeated roots (disc 0),
+    x^k a root at 0, c a negative or non-primitive leading coefficient.
+    Two thirds of the b of degree 3 or more have two terms below the top, like
+    x^4 + x + 1 and x^6 + x^3 + 1, whose remainder sequences skip
+    degrees."""
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(0, min(3, n)))
+    r = draw(st.integers(0, (n - k) // 2))
+    m = n - k - 2 * r
+    lead = st.integers(-9, 9).filter(bool)
+    if m < 3 or draw(st.integers(0, 2)) == 0:
+        b = draw(st.lists(st.integers(-9, 9), min_size=m, max_size=m))
+    else:
+        b = [0] * m
+        for i in draw(st.sets(st.integers(0, m - 1), min_size=2, max_size=2)):
+            b[i] = draw(lead)
+    g = tuple(draw(st.lists(st.integers(-4, 4), min_size=r, max_size=r)))
+    f = (0,) * k + _mul(tuple(b) + (draw(lead),), (draw(st.sampled_from([1, -1, 2, -3, 6])),))
+    g += (draw(lead),)
+    return _mul(_mul(f, g), g)
+
+
+@given(discriminant_polys())
+@example((1, 1, 0, 0, 1))  # x^4 + x + 1: degrees 4, 3, 1, 0
+@example((1, 0, 0, 1, 0, 0, 1))  # x^6 + x^3 + 1: degrees 6, 5, 3, 2, 0
+@settings(max_examples=300, deadline=None)
+def test_discriminant_matches_sympy(f):
+    assert polyutil.discriminant(f) == sympy_discriminant(f)
+    if len(f) == 2:
+        assert polyutil.discriminant(f) == 1
+
+
+@st.composite
 def distinct_roots(draw):
     """1 to 10 distinct integers; the size is drawn first, so that the
     costly degrees near 10 come no more often than the others."""
@@ -101,7 +136,7 @@ def test_difference_resolvent_is_product_of_root_differences(lc, roots, p):
         f = _mul(f, (-a, 1))
     assert polyutil.difference_resolvent(f) == difference_product(lc, roots)
     if len(roots) >= 2:
-        shape = FormShape(len(roots), (1,) * len(roots), lc, f, 0)
+        shape = FormShape(len(roots), (1,) * len(roots), lc, f, 0, polyutil.discriminant(f))
         got = Counter()
         for v, m in difference_valuations(shape, p):
             got[v] += m
