@@ -48,6 +48,12 @@ CASES = [
         )
         for fmt in ("csv", "text")
     ),
+    # profile mode: a unique deepest root, then a tied one; then a tracked
+    # chart on the monicized form (p divides the x^n coefficient)
+    ["verify", "--F=3,-4,5,-9,-9,3", "--h", "-21", "--box", "20"],
+    ["verify", "--F=3,-4,5,-9,-9,3", "--h", "-21", "--box", "20", "--format", "text"],
+    ["verify", "--F=1,0,0,-7", "--h", "7", "--box", "50"],
+    ["verify", "--F=7,1,0,1", "--h", "7", "--box", "100"],
 ]
 
 
