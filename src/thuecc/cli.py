@@ -135,10 +135,17 @@ def _analyze_row(instance: ThueInstance, p_override: int | None) -> dict:
     return row
 
 
+def _payload(command: str, rows: list[dict]) -> tuple[dict, int]:
+    """The payload of rows and its exit code: 2 when a check failed, else
+    3 when a row holds an error, else 0."""
+    failed = any(c["status"] == "fail" for r in rows for c in r.get("checks", ()))
+    errored = any("error" in r for r in rows)
+    code = EXIT_VIOLATION if failed else EXIT_INPUT if errored else EXIT_OK
+    return {"command": command, "rows": rows}, code
+
+
 def cmd_analyze(args) -> tuple[dict, int]:
-    rows = [_analyze_row(inst, args.p) for inst in _load_instances(args)]
-    code = EXIT_INPUT if any("error" in r for r in rows) else EXIT_OK
-    return {"command": "analyze", "rows": rows}, code
+    return _payload("analyze", [_analyze_row(inst, args.p) for inst in _load_instances(args)])
 
 
 def cmd_bound(args) -> tuple[dict, int]:
@@ -159,8 +166,7 @@ def cmd_bound(args) -> tuple[dict, int]:
                 "reports": [_report_dict(r) for r in reports],
             }
         )
-    code = EXIT_INPUT if any("error" in r for r in rows) else EXIT_OK
-    return {"command": "bound", "rows": rows}, code
+    return _payload("bound", rows)
 
 
 def _report_dict(report: bnd.BoundReport) -> dict:
@@ -191,7 +197,7 @@ def cmd_verify(args) -> tuple[dict, int]:
             continue
         p = args.p if args.p is not None else bnd.bertrand_prime(inst.n)
         box = args.box if args.box is not None else en.default_box(inst.n)
-        res = verify_instance(inst, p, box, hyp, args.precision)
+        res = verify_instance(inst, p, box, hyp)
         row: dict = {
             "instance": inst.instance_id(),
             "box": box,
@@ -204,11 +210,7 @@ def cmd_verify(args) -> tuple[dict, int]:
         if res.ledgers:
             row["charts"] = {"p": res.chart_prime, "ledgers": [c.to_dict() for c in res.ledgers]}
         rows.append(row)
-    if any(c["status"] == "fail" for r in rows for c in r.get("checks", ())):
-        code = EXIT_VIOLATION
-    else:
-        code = EXIT_INPUT if any("error" in r for r in rows) else EXIT_OK
-    return {"command": "verify", "rows": rows}, code
+    return _payload("verify", rows)
 
 
 # the options each fermat verb reads, (required, optional); no two verbs
@@ -347,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     bp = add_instance("bound")
     vp = add_instance("verify")
     vp.add_argument("--box", type=_positive_int)
-    vp.add_argument("--precision", type=_positive_int)
     for sp in (bp, vp):
         sp.add_argument("--hypothesis", help="kind[:value], e.g. mw_rank_value:1")
 

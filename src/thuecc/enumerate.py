@@ -17,8 +17,8 @@ Every evaluation of a binary form over F_q (the sieve tables, the
 affine and projective point counts) goes through one kernel, _values,
 which evaluates F(1, t) on every t in F_q at once by Horner's rule, one
 pass over the list per coefficient.  The sieve tables group its
-list by value and read the roots in y for every x mod q (_rows, sorted
-by root_table).  The point counts count its values line by line: the
+list by value and read the roots in y for every x mod q off those
+buckets (root_table).  The point counts count its values line by line: the
 affine points off the origin lie on the lines (l, l t) and (0, l), and
 on a line of F-value v != 0 the equation l^n v = h has d = gcd(n, q - 1)
 solutions when v / h is a d-th power and none otherwise, so one table of
@@ -100,19 +100,21 @@ def _prime_not_dividing(h: int, start: int) -> int:
 
 def root_table(coeffs, h: int, q: int) -> list[list[int]]:
     """Row x in F_q (q prime): the y, ascending, with sum_i coeffs[i]
-    x^(n-i) y^i = h mod q, coeffs in BinaryForm order."""
+    x^(n-i) y^i = h mod q, coeffs in BinaryForm order.
+
+    Row 0 solves coeffs[n] y^n = h directly.  For x != 0, F(x, x t) =
+    x^n f(t) with f(t) = F(1, t), so row x is x t over the bucket of
+    f-values h x^(-n).
+    """
+    n = len(coeffs) - 1
+    target = h % q
     buckets: dict[int, list[int]] = {}
     for t, v in enumerate(_values(coeffs, q)):
         buckets.setdefault(v, []).append(t)
-    rows = _rows(coeffs, h, q, buckets)
-    table = [next(rows)]
-    table += [sorted(x * t % q for t in ts) for x, ts in enumerate(rows, 1)]
+    table = [[y for y in range(q) if (coeffs[-1] * pow(y, n, q) - target) % q == 0]]
+    for x in range(1, q):
+        table.append(sorted(x * t % q for t in buckets.get(target * pow(x, -n, q) % q, ())))
     return table
-
-
-def affine_point_count(coeffs, h: int, q: int) -> int:
-    """Number of (x, y) in F_q^2 with sum_i coeffs[i] x^(n-i) y^i = h mod q."""
-    return _line_counts(coeffs, h, q)[0]
 
 
 def _line_counts(coeffs, h: int, q: int) -> tuple[int, int]:
@@ -139,20 +141,6 @@ def _line_counts(coeffs, h: int, q: int) -> tuple[int, int]:
     lines = sum(m for v, m in counts.items() if power[v * h_inv % q])
     lines += power[coeffs[-1] * h_inv % q]
     return d * lines, zeros
-
-
-def _rows(coeffs, h: int, q: int, buckets):
-    """The rows of root_table, unsorted, for x = 0, 1, ..., q - 1.
-
-    Row 0 solves coeffs[n] y^n = h directly.  For x != 0, F(x, x t) =
-    x^n f(t) with f(t) = F(1, t), so the bucket of f-values h x^(-n)
-    holds the t with row x = x * t; it is yielded unscaled.
-    """
-    n = len(coeffs) - 1
-    target = h % q
-    yield [y for y in range(q) if (coeffs[-1] * pow(y, n, q) - target) % q == 0]
-    for x in range(1, q):
-        yield buckets.get(target * pow(x, -n, q) % q, ())
 
 
 def _values(coeffs, q: int) -> list[int]:
@@ -185,7 +173,7 @@ def primitive_solutions(instance: ThueInstance, box: int) -> tuple[tuple[int, in
 
 def count_affine_points_mod_p(instance: ThueInstance, p: int) -> int:
     """Number of (x, y) in F_p^2 with F(x,y) = h mod p."""
-    return affine_point_count(instance.form.coeffs, instance.h, p)
+    return _line_counts(instance.form.coeffs, instance.h, p)[0]
 
 
 def count_projective_smooth(instance: ThueInstance, p: int) -> int:

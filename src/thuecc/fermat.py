@@ -103,17 +103,11 @@ def equivalence(t1: SolutionTriple, t2: SolutionTriple, n: int) -> bool:
 def _orbit_field_prime(t: SolutionTriple, n: int, need_power_split: bool) -> int:
     """Smallest prime q = 1 mod n with q not dividing xyz (and not
     dividing x^n - y^n when the doubled orbit must stay distinct)."""
+    bad = t.x * t.y * t.z * (t.x**n - t.y**n if need_power_split else 1)
     q = n + 1
-    while True:
-        q = int(sympy.nextprime(q - 1))
-        while q % n != 1:
-            q = int(sympy.nextprime(q))
-        bad = t.x * t.y * t.z
-        if need_power_split:
-            bad *= t.x**n - t.y**n
-        if bad % q != 0:
-            return q
-        q += 1
+    while not (sympy.isprime(q) and bad % q):
+        q += n
+    return q
 
 
 def materialize_orbit(

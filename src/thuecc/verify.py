@@ -3,12 +3,14 @@
 verify_instance checks the primitive solutions in a box against the
 bounds at p and, at the smallest prime p > n dividing h, against v(b) =
 0, w = u_m, equal depths per deepest root and the census additive term
-s*p or s*n*p.  When the roots cannot be tracked there, w = u_m runs in
-profile mode.  That prime is found by trial division and a primality
-test, never by factoring: when h keeps a composite cofactor with no
-prime factor up to TRIAL_LIMIT and no smaller prime qualifies, the
-charts are skipped.  A skipped check carries its reason and is never a
-pass.
+s*p or s*n*p.  The roots are tracked to padic.default_precision, which
+exceeds every valuation a primitive solution can reach there, so the
+precision cannot be set.  When the roots cannot be tracked, w = u_m runs
+in profile mode and the census counts depths only.  That prime is found
+by trial division and a primality test, never by factoring: when h
+keeps a composite cofactor with no prime factor up to TRIAL_LIMIT and
+no smaller prime qualifies, the charts are skipped.  A skipped check
+carries its reason and is never a pass.
 """
 
 from __future__ import annotations
@@ -49,8 +51,7 @@ class Verification:
 
 
 def verify_instance(
-    instance: ThueInstance, p: int, box: int, hypothesis: bnd.RankHypothesis | None,
-    precision: int | None = None,
+    instance: ThueInstance, p: int, box: int, hypothesis: bnd.RankHypothesis | None
 ) -> Verification:
     # main_bounds rejects a bad p before any valuation at p is taken
     report = bnd.main_bounds(instance, p, hypothesis)
@@ -81,7 +82,7 @@ def verify_instance(
                 f", and its cofactor {rest} is composite, left unfactored"
             )
         return Verification(sols, (*checks, Check("charts", "skipped", detail)), None, ())
-    chart_checks, ledgers = _chart_checks(instance, sols, ph, precision)
+    chart_checks, ledgers = _chart_checks(instance, sols, ph)
     return Verification(sols, (*checks, *chart_checks), ph, tuple(ledgers))
 
 
@@ -107,7 +108,7 @@ def _chart_prime(h: int, n: int) -> tuple[int | None, int]:
     return None, rest
 
 
-def _chart_checks(inst: ThueInstance, sols, p: int, precision):
+def _chart_checks(inst: ThueInstance, sols, p: int):
     u, minst = 0, inst
     if inst.form.coeffs[0] % p == 0:
         u, monic = monicize(inst.form, p)
@@ -118,45 +119,35 @@ def _chart_checks(inst: ThueInstance, sols, p: int, precision):
     checks = [_check("v_p(b)_zero", ok_vb, f"all {len(msols)} solutions at p={p}")]
     w = polyutil.vp(minst.h, p)
     try:
-        precision = precision or padic.default_precision(minst, p)
-        tracked = padic.hensel_track_roots(minst.shape, p, precision)
+        tracked = padic.hensel_track_roots(minst.shape, p, padic.default_precision(minst, p))
     except (padic.RamifiedCase, ValueError) as exc:
+        tracked = None
         checks.append(Check("tracked_mode", "skipped", str(exc)))
-        profs = [padic.solution_valuations(a, b, minst, p) for a, b in msols]
-        checks.extend(_profile_chart_check(prof, w) for prof in profs)
-        if profs:
-            checks.append(_census_check(minst, profs, p, None))
-        return checks, []
+    profs = [padic.solution_valuations(a, b, minst, p, tracked) for a, b in msols]
     by_argmax: dict[int, list] = {}
     charts = []
-    profs = []
-    for a, b in msols:
-        prof = padic.solution_valuations(a, b, minst, p, tracked)
-        profs.append(prof)
-        chart = ch.chart_from_tracked(prof, tracked, w)
-        charts.append(chart)
-        detail = f"w={chart.w} u_m={chart.u_seq[-1]}"
-        checks.append(_check(f"w_equals_um({a},{b})", ch.verify_w_equals_um(chart), detail))
-        by_argmax.setdefault(prof.argmax_index, []).append(prof)
+    # without tracked roots the chart is read off the valuation multiset,
+    # which names the deepest root only when the largest depth is unique
+    for prof in profs:
+        name = f"w_equals_um({prof.a},{prof.b})"
+        try:
+            chart = (ch.chart_from_tracked(prof, tracked, w) if tracked
+                     else ch.chart_from_profile(prof, w))
+        except ch.AmbiguousArgmax as exc:
+            checks.append(Check(name, "skipped", str(exc)))
+            continue
+        detail = f"w={chart.w} u_m={chart.u_seq[-1]}" + ("" if tracked else ", profile mode")
+        checks.append(_check(name, ch.verify_w_equals_um(chart), detail))
+        if tracked:
+            charts.append(chart)
+            by_argmax.setdefault(prof.argmax_index, []).append(prof)
     for idx, group in sorted(by_argmax.items()):
         rep = ch.check_common_root_depth(group)
         t_values = ", ".join(map(str, rep.t_values))
         checks.append(_check(f"common_depth(root {idx})", rep.passed, f"t values {t_values}"))
-    if charts:
+    if profs:
         checks.append(_census_check(minst, profs, p, tracked))
     return checks, charts
-
-
-def _profile_chart_check(prof: padic.SolutionValuationProfile, w: int) -> Check:
-    """w = u_m from the valuation multiset alone, which identifies the
-    deepest root only when the largest depth t is attained once."""
-    name = f"w_equals_um({prof.a},{prof.b})"
-    try:
-        chart = ch.chart_from_profile(prof, w)
-    except ch.AmbiguousArgmax as exc:
-        return Check(name, "skipped", str(exc))
-    detail = f"w={chart.w} u_m={chart.u_seq[-1]}, profile mode"
-    return _check(name, ch.verify_w_equals_um(chart), detail)
 
 
 def _census_check(minst: ThueInstance, profs, p: int, tracked) -> Check:
