@@ -54,6 +54,12 @@ CASES = [
     ["verify", "--F=3,-4,5,-9,-9,3", "--h", "-21", "--box", "20", "--format", "text"],
     ["verify", "--F=1,0,0,-7", "--h", "7", "--box", "50"],
     ["verify", "--F=7,1,0,1", "--h", "7", "--box", "100"],
+    # the refinements over cyclotomic fields: degree p - 1 with p | h and
+    # p | d*, then p | d* only; prime degree at p = 2n + 1 and p = 4n + 1
+    ["bound", "--F=1,0,0,0,5", "--h", "10", "--hypothesis", "mw_lt_threshold:1"],
+    ["bound", "--F=1,0,0,0,10", "--h", "3"],
+    ["bound", "--F=1,0,0,0,0,1", "--h", "2", "--hypothesis", "mw_rank_value:0"],
+    ["bound", "--F=1,0,0,0,0,0,0,1", "--h", "29"],
 ]
 
 
