@@ -10,30 +10,3 @@ cross-check every identity at desk scale.
 All arithmetic is exact: integers, fractions.Fraction, and residue towers
 mod p^N.  No floating point enters any computed value.
 """
-
-from thuecc.forms import BinaryForm, FormShape, ThueInstance, factor_shape, genus, dstar
-from thuecc.padic import (
-    INF,
-    newton_polygon,
-    root_valuations,
-    difference_valuations,
-    hensel_track_roots,
-    solution_valuations,
-)
-from thuecc.enumerate import primitive_solutions
-
-__all__ = [
-    "BinaryForm",
-    "FormShape",
-    "ThueInstance",
-    "factor_shape",
-    "genus",
-    "dstar",
-    "INF",
-    "newton_polygon",
-    "root_valuations",
-    "difference_valuations",
-    "hensel_track_roots",
-    "solution_valuations",
-    "primitive_solutions",
-]

@@ -138,7 +138,6 @@ class BoundEntry:
 @dataclass(frozen=True)
 class BoundReport:
     instance_id: str
-    p: int
     case: PrimeCase
     entries: tuple[BoundEntry, ...]
     notes: tuple[str, ...]
@@ -222,7 +221,7 @@ def main_bounds(
         ),
         BoundEntry.make("global_cubic", QTY_PRIMITIVE_GLOBAL, gb, conditional),
     )
-    return BoundReport(instance.instance_id(), p, case, entries, tuple(notes))
+    return BoundReport(instance.instance_id(), case, entries, tuple(notes))
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +229,9 @@ def main_bounds(
 
 
 def refined_bounds_prime_degree(
-    n: int, a: int, case: PrimeCase, hypothesis: RankHypothesis | None
+    n: int, case: PrimeCase, hypothesis: RankHypothesis | None
 ) -> BoundReport:
-    """Bounds for prime degree n >= 5 at p = a*n + 1 prime, a > 1.
+    """Bounds for prime degree n >= 5 at p = case.p = a*n + 1 prime, a > 1.
 
     Hypothesis route: MW rank over Q below (n-3)/2; rank transfer
     multiplies the rank by n - 1 over the degree-n cyclotomic field,
@@ -240,11 +239,9 @@ def refined_bounds_prime_degree(
     """
     if n < 5 or not sympy.isprime(n):
         raise BoundError("requires prime n >= 5")
-    p = a * n + 1
-    if a <= 1 or not sympy.isprime(p):
-        raise BoundError(f"requires a > 1 with a*n+1 prime (a={a}, p={p})")
-    if case.p != p:
-        raise BoundError("prime case does not match p = a*n + 1")
+    a, rem = divmod(case.p - 1, n)
+    if rem or a <= 1 or not sympy.isprime(case.p):
+        raise BoundError(f"requires p = a*n + 1 prime with a > 1 (n={n}, p={case.p})")
     threshold = Fraction(n - 3, 2)
     conditional = hypothesis is None or not hypothesis.implies_mw_lt(threshold)
     values = {
@@ -262,52 +259,35 @@ def refined_bounds_prime_degree(
         f"cyclotomic field",
         f"hypothesis threshold: MW rank over Q < {threshold}",
     )
-    return BoundReport(f"n={n};a={a}", p, case, entries, notes)
+    return BoundReport(f"n={n};a={a}", case, entries, notes)
 
 
 def refined_bounds_degree_pm1(
-    p: int, case: PrimeCase, hypothesis: RankHypothesis | None, s: int
+    case: PrimeCase, hypothesis: RankHypothesis | None, s: int
 ) -> BoundReport:
-    """Bounds for degree n = p - 1 at the prime p >= 5.
+    """Bounds for degree n = p - 1 at the prime p = case.p >= 5.
 
     Two accepted hypothesis routes: the Chabauty rank over the
     cyclotomic field of level p - 1 is below g, or the MW rank over Q is
     below (s-2)/2 (which forces the former through the isotypic
     decomposition).  The route actually asserted is echoed in the notes.
     """
-    if p < 5 or not sympy.isprime(p):
+    if case.p < 5 or not sympy.isprime(case.p):
         raise BoundError("requires prime p >= 5")
-    if case.p != p:
-        raise BoundError("prime case does not match p")
-    n = p - 1
+    n = case.p - 1
     route = "unset"
-    conditional = True
-    if hypothesis is not None:
-        if hypothesis.kind == "chabauty_lt_g":
-            conditional = False
-            route = "chabauty over cyclotomic field asserted"
-        elif hypothesis.implies_mw_lt(rank_threshold(s)):
-            conditional = False
-            route = f"MW rank over Q < (s-2)/2 = {rank_threshold(s)}"
-    entries: list[BoundEntry] = []
+    if hypothesis is not None and hypothesis.kind == "chabauty_lt_g":
+        route = "chabauty over cyclotomic field asserted"
+    elif hypothesis is not None and hypothesis.implies_mw_lt(threshold := rank_threshold(s)):
+        route = f"MW rank over Q < (s-2)/2 = {threshold}"
+    conditional = route == "unset"
+    local = 2 * n**2 + 4 * n - 5 if case.divides_h and case.divides_dstar else 4 * n - 3
+    entries = [BoundEntry.make("pm1_local", QTY_PRIMITIVE_LOCAL, local, conditional)]
     if not case.divides_dstar:
-        entries.append(
-            BoundEntry.make("pm1_local", QTY_PRIMITIVE_LOCAL, 4 * n - 3, conditional)
-        )
         entries.append(
             BoundEntry.make("pm1_rational", QTY_RATIONAL_POINTS, 5 * n - 3, conditional)
         )
-    elif not case.divides_h:
-        entries.append(
-            BoundEntry.make("pm1_local", QTY_PRIMITIVE_LOCAL, 4 * n - 3, conditional)
-        )
-    else:
-        entries.append(
-            BoundEntry.make(
-                "pm1_local", QTY_PRIMITIVE_LOCAL, 2 * n**2 + 4 * n - 5, conditional
-            )
-        )
-    return BoundReport(f"n={n}", p, case, tuple(entries), (f"route: {route}",))
+    return BoundReport(f"n={n}", case, tuple(entries), (f"route: {route}",))
 
 
 def refined_bounds(
@@ -323,11 +303,11 @@ def refined_bounds(
         while not sympy.isprime(a * n + 1):
             a += 1
         case = classify_prime(instance, a * n + 1)
-        reports.append(refined_bounds_prime_degree(n, a, case, hypothesis))
+        reports.append(refined_bounds_prime_degree(n, case, hypothesis))
     if sympy.isprime(n + 1) and n + 1 >= 5:
         s_eff = len(instance.shape.all_multiplicities())
         case = classify_prime(instance, n + 1)
-        reports.append(refined_bounds_degree_pm1(n + 1, case, hypothesis, s=s_eff))
+        reports.append(refined_bounds_degree_pm1(case, hypothesis, s=s_eff))
     return reports
 
 

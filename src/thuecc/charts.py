@@ -93,19 +93,11 @@ def build_chart(
     gammas = [(int(v * rescale), mult, ref) for v, mult, ref in gammas]
     if t < 0 or any(v < 0 for v, _, _ in gammas):
         raise ChartError("valuations must be nonnegative")
-    s_seq = [0] + sorted({v for v, _, _ in gammas if 0 < v <= t})
-    if s_seq[-1] != t:
-        s_seq.append(t)
+    s_seq = sorted({0, t} | {v for v, _, _ in gammas if v < t})
     m = len(s_seq) - 1
     levels: list[list[ChartMember]] = [[] for _ in s_seq]
     for v, mult, ref in gammas:
-        if v >= s_seq[m]:
-            levels[m].append(ChartMember(ref, v, mult))
-        else:
-            k = s_seq.index(v) if v in s_seq else None
-            if k is None or k == m:
-                raise ChartError(f"gamma valuation {v} missed the depth sequence")
-            levels[k].append(ChartMember(ref, v, mult))
+        levels[s_seq.index(min(v, t))].append(ChartMember(ref, v, mult))
     levels[m].append(ChartMember(SELF, INF, self_multiplicity))
     weights = [sum(mb.multiplicity for mb in lv) for lv in levels]
     u_seq = []
@@ -189,14 +181,9 @@ def verify_w_equals_um(chart: ChartData) -> bool:
     return chart.w == chart.u_seq[-1]
 
 
-@dataclass(frozen=True)
-class DepthReport:
-    t_values: tuple[int, ...]
-    passed: bool
-
-
-def check_common_root_depth(profiles: list[SolutionValuationProfile]) -> DepthReport:
-    """Solutions sharing the same deepest root must share the same depth.
+def check_common_root_depth(profiles: list[SolutionValuationProfile]) -> bool:
+    """Whether solutions sharing the same deepest root share the same
+    depth t, as they must.
 
     All profiles must be tracked, built from primitive solutions of one
     instance with p | h, and agree on the argmax root index.
@@ -208,5 +195,4 @@ def check_common_root_depth(profiles: list[SolutionValuationProfile]) -> DepthRe
     indices = {pr.argmax_index for pr in profiles}
     if len(indices) != 1:
         raise ChartError(f"profiles mix argmax roots {sorted(indices)}")
-    ts = tuple(pr.t for pr in profiles)
-    return DepthReport(t_values=ts, passed=len(set(ts)) == 1)
+    return len({pr.t for pr in profiles}) == 1

@@ -172,7 +172,7 @@ def cmd_bound(args) -> tuple[dict, int]:
 def _report_dict(report: bnd.BoundReport) -> dict:
     return {
         "instance": report.instance_id,
-        "p": report.p,
+        "p": report.case.p,
         "case": report.case.case_tag,
         "notes": list(report.notes),
         "entries": [
@@ -260,11 +260,10 @@ def cmd_fermat(args) -> tuple[dict, int]:
             "conclusion": rep.conclusion,
         }
         return payload, EXIT_OK if rep.consistent else EXIT_VIOLATION
-    if args.verb == "orbit":
-        t = _parse_triple(args.t)
-        count = fm.orbit_count(t, args.symmetric, args.n)
-        return {"command": "fermat orbit", "count": count}, EXIT_OK
-    raise InputError(f"unknown fermat verb {args.verb!r}")
+    # orbit: argparse's choices admit no other verb
+    t = _parse_triple(args.t)
+    count = fm.orbit_count(t, args.symmetric, args.n)
+    return {"command": "fermat orbit", "count": count}, EXIT_OK
 
 
 def _emit(payload: dict, args) -> None:

@@ -255,7 +255,7 @@ def product_form_family(a_list, h: int) -> tuple[ThueInstance, list[tuple[int, i
     # mul drops the zero top terms when some a_i is 0; pad back to n + 1
     coeffs = [*coeffs] + [0] * (n + 1 - len(coeffs))
     coeffs[n] += h
-    form = BinaryForm(n, tuple(coeffs))
+    form = BinaryForm(tuple(coeffs))
     certified = [(a, 1) for a in a_list]
     if n % 2 == 0:
         certified += [(-a, -1) for a in a_list]

@@ -32,27 +32,27 @@ class FormError(ValueError):
 
 @dataclass(frozen=True)
 class BinaryForm:
-    """Integer binary form of degree n.
+    """Integer binary form of degree n = len(coeffs) - 1.
 
-    coeffs[i] is the coefficient of x^(n-i) y^i, so coeffs has length
-    n + 1 and coeffs[0] multiplies x^n.
+    coeffs[i] is the coefficient of x^(n-i) y^i, so coeffs[0] multiplies
+    x^n.
     """
 
-    degree: int
     coeffs: tuple[int, ...]
 
     def __post_init__(self):
         if self.degree < 1:
             raise FormError("degree must be positive")
-        if len(self.coeffs) != self.degree + 1:
-            raise FormError("need degree + 1 coefficients")
         if all(c == 0 for c in self.coeffs):
             raise FormError("zero form")
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "BinaryForm":
-        coeffs = tuple(int(c) for c in coeffs)
-        return cls(len(coeffs) - 1, coeffs)
+        return cls(tuple(int(c) for c in coeffs))
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
 
     def __call__(self, x: int, y: int) -> int:
         """F(x, y) as an exact integer, by Horner's rule in x that carries
@@ -172,14 +172,13 @@ def power_gcd(shape: FormShape, n: int) -> int:
     return gcd(n, shape.degree_deficit, *shape.multiplicities)
 
 
-def is_irreducible_model(shape: FormShape, n: int, h: int) -> bool:
-    """Whether h z^n - F(x,y) is irreducible over the algebraic closure.
+def is_irreducible_model(shape: FormShape, n: int) -> bool:
+    """Whether h z^n - F(x,y), h != 0, is irreducible over the algebraic
+    closure.
 
     The model factors exactly when F is a proper perfect power up to a
     constant, i.e. when power_gcd(shape, n) > 1.
     """
-    if h == 0:
-        raise FormError("h must be nonzero")
     return power_gcd(shape, n) == 1
 
 
@@ -204,7 +203,7 @@ def substitute_y_shift(form: BinaryForm, u: int) -> BinaryForm:
     # coeffs ascend in y, so F(1, y + u) is their composition with u + y
     n = form.degree
     new = polyutil.compose_linear(form.coeffs, u, 1)
-    return BinaryForm(n, new + (0,) * (n + 1 - len(new)))
+    return BinaryForm(new + (0,) * (n + 1 - len(new)))
 
 
 @dataclass(frozen=True)
@@ -236,11 +235,11 @@ class ThueInstance:
                 raise FormError(
                     f"form has content {content} not dividing h={h}: no primitive solutions"
                 )
-            form = BinaryForm(form.degree, tuple(c // content for c in form.coeffs))
+            form = BinaryForm(tuple(c // content for c in form.coeffs))
             h //= content
             removed = content
         shape = factor_shape(form)
-        irred = is_irreducible_model(shape, form.degree, h)
+        irred = is_irreducible_model(shape, form.degree)
         try:
             g = genus(shape, form.degree)
         except FormError:

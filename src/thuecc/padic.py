@@ -213,11 +213,10 @@ class TrackedRoots:
 
 def default_precision(instance: ThueInstance, p: int) -> int:
     """Precision separating all roots and certifying every valuation in a
-    primitive solution's profile: v_p(h) + v_p(disc(radical)) + 5, with
-    v_p(disc) read off d* = +-c disc / lc(radical)^(2s-2) (0 for s <= 1)."""
+    primitive solution's profile: v_p(h) + v_p(disc(radical)) + 5, the
+    discriminant term 0 for s <= 1."""
     sh = instance.shape
-    v_disc = polyutil.vp_frac(instance.dstar / sh.lead, p) + (2 * sh.s - 2) * vp(sh.radical[-1], p)
-    return vp(instance.h, p) + (v_disc if sh.s >= 2 else 0) + 5
+    return vp(instance.h, p) + (vp(sh.discriminant, p) if sh.s >= 2 else 0) + 5
 
 
 def hensel_track_roots(shape: FormShape, p: int, precision: int) -> TrackedRoots:

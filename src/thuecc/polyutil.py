@@ -8,7 +8,7 @@ package is either a dense ``dup_*``/``dmp_*``/``gf_*`` kernel on
 descending coefficient lists such as ``to_dense(f)`` (the difference
 resolvent, squarefree decomposition, factorization over Q and mod p,
 Hensel lifting) or an integer function (``isprime``, ``nextprime``,
-``totient``, ``primitive_root``, ``integer_nthroot``);
+``primitive_root``, ``integer_nthroot``);
 no ``Poly`` or expression is built anywhere.
 """
 

@@ -142,9 +142,9 @@ def _chart_checks(inst: ThueInstance, sols, p: int):
             charts.append(chart)
             by_argmax.setdefault(prof.argmax_index, []).append(prof)
     for idx, group in sorted(by_argmax.items()):
-        rep = ch.check_common_root_depth(group)
-        t_values = ", ".join(map(str, rep.t_values))
-        checks.append(_check(f"common_depth(root {idx})", rep.passed, f"t values {t_values}"))
+        same = ch.check_common_root_depth(group)
+        t_values = ", ".join(str(pr.t) for pr in group)
+        checks.append(_check(f"common_depth(root {idx})", same, f"t values {t_values}"))
     if profs:
         checks.append(_census_check(minst, profs, p, tracked))
     return checks, charts

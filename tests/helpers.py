@@ -120,7 +120,7 @@ def form_value(coeffs, x: int, y: int) -> int:
 
 def swapped(form: BinaryForm) -> BinaryForm:
     """F(y, x)."""
-    return BinaryForm(form.degree, tuple(reversed(form.coeffs)))
+    return BinaryForm(tuple(reversed(form.coeffs)))
 
 
 def form_valuation(prof, shape):

@@ -137,43 +137,43 @@ def test_majorization_is_surfaced_not_assumed():
 
 def test_refined_prime_degree_values():
     hyp = RankHypothesis("mw_lt_threshold", 1)
-    r = refined_bounds_prime_degree(5, 2, PrimeCase(11, False, False), hyp)
+    r = refined_bounds_prime_degree(5, PrimeCase(11, False, False), hyp)
     assert r.entries[0].floor == 17
-    rd = refined_bounds_prime_degree(5, 2, PrimeCase(11, True, True), hyp)
+    rd = refined_bounds_prime_degree(5, PrimeCase(11, True, True), hyp)
     assert rd.entries[0].floor == 57
-    rb = refined_bounds_prime_degree(7, 4, PrimeCase(29, True, False), hyp)
+    rb = refined_bounds_prime_degree(7, PrimeCase(29, True, False), hyp)
     assert rb.entries[0].floor == 40
     assert any("rank transfer" in note for note in r.notes)
     with pytest.raises(BoundError):
-        refined_bounds_prime_degree(6, 2, PrimeCase(13, False, False), hyp)
+        refined_bounds_prime_degree(6, PrimeCase(13, False, False), hyp)
     with pytest.raises(BoundError):
-        refined_bounds_prime_degree(5, 3, PrimeCase(16, False, False), hyp)
+        refined_bounds_prime_degree(5, PrimeCase(16, False, False), hyp)
 
 
 def test_refined_pm1_values():
-    r = refined_bounds_degree_pm1(5, PrimeCase(5, False, False), None, s=4)
+    r = refined_bounds_degree_pm1(PrimeCase(5, False, False), None, s=4)
     by_name = {e.name: e.floor for e in r.entries}
     assert by_name == {"pm1_local": 13, "pm1_rational": 17}
-    rb = refined_bounds_degree_pm1(5, PrimeCase(5, True, False), None, s=4)
+    rb = refined_bounds_degree_pm1(PrimeCase(5, True, False), None, s=4)
     assert {e.name: e.floor for e in rb.entries} == {
         "pm1_local": 13,
         "pm1_rational": 17,
     }
-    rc = refined_bounds_degree_pm1(7, PrimeCase(7, False, True), None, s=6)
+    rc = refined_bounds_degree_pm1(PrimeCase(7, False, True), None, s=6)
     assert {e.name: e.floor for e in rc.entries} == {"pm1_local": 21}
-    rd = refined_bounds_degree_pm1(7, PrimeCase(7, True, True), None, s=6)
+    rd = refined_bounds_degree_pm1(PrimeCase(7, True, True), None, s=6)
     assert {e.name: e.floor for e in rd.entries} == {"pm1_local": 91}
 
 
 def test_refined_pm1_hypothesis_routes():
     hyp_c = RankHypothesis("chabauty_lt_g", source="over the cyclotomic field")
-    r = refined_bounds_degree_pm1(5, PrimeCase(5, False, False), hyp_c, s=4)
+    r = refined_bounds_degree_pm1(PrimeCase(5, False, False), hyp_c, s=4)
     assert not r.entries[0].conditional
     hyp_m = RankHypothesis("mw_rank_value", 0)
-    r2 = refined_bounds_degree_pm1(5, PrimeCase(5, False, False), hyp_m, s=4)
+    r2 = refined_bounds_degree_pm1(PrimeCase(5, False, False), hyp_m, s=4)
     assert not r2.entries[0].conditional
     hyp_big = RankHypothesis("mw_rank_value", 5)
-    r3 = refined_bounds_degree_pm1(5, PrimeCase(5, False, False), hyp_big, s=4)
+    r3 = refined_bounds_degree_pm1(PrimeCase(5, False, False), hyp_big, s=4)
     assert r3.entries[0].conditional
 
 
@@ -313,7 +313,7 @@ def test_csv_rows(capsys):
 def test_refined_bounds_by_degree():
     def blocks(coeffs, h):
         inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), h)
-        return [(rep.p, rep.entries[0].name) for rep in refined_bounds(inst, None)]
+        return [(rep.case.p, rep.entries[0].name) for rep in refined_bounds(inst, None)]
 
     # n = 4: n + 1 = 5 is prime
     assert blocks([1, 0, 0, 0, 1], 17) == [(5, "pm1_local")]

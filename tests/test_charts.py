@@ -134,7 +134,7 @@ def test_common_depth_across_solutions():
                 prof = solution_valuations(a, b, inst, p, tracked)
                 groups.setdefault(prof.argmax_index, []).append(prof)
             for profiles in groups.values():
-                assert check_common_root_depth(profiles).passed
+                assert check_common_root_depth(profiles)
 
 
 def test_common_depth_rejects_mixed_roots():

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import thuecc.charts
 from thuecc.cli import main
 
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference"
@@ -135,6 +136,30 @@ def test_verify_deterministic(capsys):
     code1, out1 = run(capsys, *args)
     code2, out2 = run(capsys, *args)
     assert (code1, out1) == (code2, out2)
+
+
+def test_verify_failed_check_exits_2(tmp_path, capsys, monkeypatch):
+    """A failed check gives exit 2, is marked FAIL in text, and outranks
+    the exit 3 of an error row in the same corpus."""
+    monkeypatch.setattr(thuecc.charts, "verify_w_equals_um", lambda chart: False)
+    args = ["verify", "--F=1,0,0,0,1", "--h", "17", "--box", "100"]
+    code, out = run(capsys, *args)
+    assert code == 2
+    statuses = {c["check"]: c["status"] for c in json.loads(out)["rows"][0]["checks"]}
+    assert statuses["w_equals_um(1,2)"] == "fail"
+    code, out = run(capsys, *args, "--format", "text")
+    assert code == 2
+    assert "[FAIL] w_equals_um(" in out
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        json.dumps({"coeffs": [1, 0, -2, 0, 1], "h": 1}) + "\n"
+        + json.dumps({"coeffs": [1, 0, 0, 0, 1], "h": 17}) + "\n"
+    )
+    code, out = run(capsys, "verify", "--corpus", str(corpus), "--box", "100")
+    assert code == 2
+    rows = json.loads(out)["rows"]
+    assert "reducible" in rows[0]["error"]
+    assert any(c["status"] == "fail" for c in rows[1]["checks"])
 
 
 def test_analyze_matches_the_corpus_reference(capsys):

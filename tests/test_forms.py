@@ -162,13 +162,13 @@ def test_build_splits_only_forms_with_repeated_roots(monkeypatch):
 
 def test_irreducibility():
     sh = factor_shape(BinaryForm.from_coeffs([1, 0, 0, 0, 1]))
-    assert is_irreducible_model(sh, 4, 17)
+    assert is_irreducible_model(sh, 4)
     sh2 = factor_shape(product_form([0, 1], [2, 2]))
-    assert not is_irreducible_model(sh2, 4, 17)
+    assert not is_irreducible_model(sh2, 4)
     sh3 = factor_shape(product_form([0, 1, 2], [3, 2, 1]))
-    assert is_irreducible_model(sh3, 6, 5)
+    assert is_irreducible_model(sh3, 6)
     with pytest.raises(FormError):
-        is_irreducible_model(sh, 4, 0)
+        ThueInstance.build(BinaryForm.from_coeffs([1, 0, 0, 0, 1]), 0)
 
 
 def test_monicize_already_monic():

@@ -141,8 +141,8 @@ def test_tracked_differences_match_resolvent(linear, tail, p):
 )
 @settings(max_examples=150, deadline=None)
 def test_default_precision_reads_discriminant_off_dstar(coeffs, k, h, p):
-    """default_precision takes v_p(disc(radical)) from d*; it must equal
-    the valuation of the radical's discriminant computed directly."""
+    """default_precision's discriminant term must equal the valuation of
+    the radical's discriminant computed directly."""
     coeffs[0] *= p**k  # make p | lc(radical) common
     assume(any(coeffs))
     inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), h * polyutil.content(coeffs))
