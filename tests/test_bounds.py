@@ -148,6 +148,8 @@ def test_refined_prime_degree_values():
         refined_bounds_prime_degree(6, PrimeCase(13, False, False), hyp)
     with pytest.raises(BoundError):
         refined_bounds_prime_degree(5, PrimeCase(16, False, False), hyp)
+    with pytest.raises(BoundError):  # 13 is prime, but 13 - 1 is not a multiple of 5
+        refined_bounds_prime_degree(5, PrimeCase(13, False, False), hyp)
 
 
 def test_refined_pm1_values():
