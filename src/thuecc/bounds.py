@@ -25,8 +25,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from thuecc import polyutil
 from thuecc.forms import ThueInstance
 
@@ -57,7 +55,7 @@ class PrimeCase:
 
 def classify_prime(instance: ThueInstance, p: int) -> PrimeCase:
     """Split a prime p > n on exact divisibility: p | h and v_p(d*(F)) > 0."""
-    if p <= instance.n or not sympy.isprime(p):
+    if p <= instance.n or not polyutil.isprime(p):
         raise BoundError(f"classification requires a prime p > n (got p={p}, n={instance.n})")
     divides_h = instance.h % p == 0
     divides_dstar = polyutil.vp_frac(instance.dstar, p) > 0
@@ -68,7 +66,7 @@ def bertrand_prime(n: int) -> int:
     """Smallest prime p with n < p < 2n (exists for n >= 2)."""
     if n < 2:
         raise BoundError("need n >= 2")
-    p = int(sympy.nextprime(n))
+    p = polyutil.nextprime(n)
     if p >= 2 * n:
         raise BoundError("unreachable: Bertrand's postulate")
     return p
@@ -237,10 +235,10 @@ def refined_bounds_prime_degree(
     multiplies the rank by n - 1 over the degree-n cyclotomic field,
     pushing the Chabauty condition over that field.
     """
-    if n < 5 or not sympy.isprime(n):
+    if n < 5 or not polyutil.isprime(n):
         raise BoundError("requires prime n >= 5")
     a, rem = divmod(case.p - 1, n)
-    if rem or a <= 1 or not sympy.isprime(case.p):
+    if rem or a <= 1 or not polyutil.isprime(case.p):
         raise BoundError(f"requires p = a*n + 1 prime with a > 1 (n={n}, p={case.p})")
     threshold = Fraction(n - 3, 2)
     conditional = hypothesis is None or not hypothesis.implies_mw_lt(threshold)
@@ -272,7 +270,7 @@ def refined_bounds_degree_pm1(
     below (s-2)/2 (which forces the former through the isotypic
     decomposition).  The route actually asserted is echoed in the notes.
     """
-    if case.p < 5 or not sympy.isprime(case.p):
+    if case.p < 5 or not polyutil.isprime(case.p):
         raise BoundError("requires prime p >= 5")
     n = case.p - 1
     route = "unset"
@@ -298,13 +296,10 @@ def refined_bounds(
     n + 1 prime and at least 5."""
     n = instance.n
     reports = []
-    if sympy.isprime(n) and n >= 5:
-        a = 2
-        while not sympy.isprime(a * n + 1):
-            a += 1
-        case = classify_prime(instance, a * n + 1)
+    if polyutil.isprime(n) and n >= 5:
+        case = classify_prime(instance, polyutil.prime_one_mod(n, 2 * n + 1))
         reports.append(refined_bounds_prime_degree(n, case, hypothesis))
-    if sympy.isprime(n + 1) and n + 1 >= 5:
+    if polyutil.isprime(n + 1) and n + 1 >= 5:
         s_eff = len(instance.shape.all_multiplicities())
         case = classify_prime(instance, n + 1)
         reports.append(refined_bounds_degree_pm1(case, hypothesis, s=s_eff))

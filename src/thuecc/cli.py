@@ -287,10 +287,8 @@ def _emit(payload: dict, args) -> None:
             else:
                 writer.writerow([str(v) for v in row.values()])
         text = buf.getvalue().removesuffix("\n")
-    elif fmt == "text":
-        text = _render_text(payload)
     else:
-        raise InputError(f"unknown format {fmt!r}")
+        text = _render_text(payload)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

@@ -34,8 +34,6 @@ from collections import Counter
 from collections.abc import Sequence
 from math import gcd, isqrt
 
-import sympy
-
 from thuecc import polyutil
 from thuecc.forms import BinaryForm, ThueInstance
 from thuecc.padic import SolutionValuationProfile, TrackedRoots
@@ -85,17 +83,9 @@ def scan_stripe(
 def _filter_primes(h: int, box: int) -> tuple[int, int, int]:
     """The sieve moduli q1 < q2 < q3: consecutive primes above
     isqrt(2 box + 1), skipping those that divide h."""
-    q1 = _prime_not_dividing(h, isqrt(2 * box + 1))
-    q2 = _prime_not_dividing(h, q1)
-    return q1, q2, _prime_not_dividing(h, q2)
-
-
-def _prime_not_dividing(h: int, start: int) -> int:
-    """The least prime above start that does not divide h."""
-    q = int(sympy.nextprime(start))
-    while h % q == 0:
-        q = int(sympy.nextprime(q))
-    return q
+    q1 = polyutil.prime_not_dividing(h, isqrt(2 * box + 1))
+    q2 = polyutil.prime_not_dividing(h, q1)
+    return q1, q2, polyutil.prime_not_dividing(h, q2)
 
 
 def root_table(coeffs, h: int, q: int) -> list[list[int]]:

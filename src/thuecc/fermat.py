@@ -17,8 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-import sympy
-
+from thuecc import polyutil
 from thuecc.bounds import RankHypothesis
 
 
@@ -100,16 +99,6 @@ def equivalence(t1: SolutionTriple, t2: SolutionTriple, n: int) -> bool:
     return _cross(t1.power_vector(n), t2.power_vector(n)) == (0, 0, 0)
 
 
-def _orbit_field_prime(t: SolutionTriple, n: int, need_power_split: bool) -> int:
-    """Smallest prime q = 1 mod n with q not dividing xyz (and not
-    dividing x^n - y^n when the doubled orbit must stay distinct)."""
-    bad = t.x * t.y * t.z * (t.x**n - t.y**n if need_power_split else 1)
-    q = n + 1
-    while not (sympy.isprime(q) and bad % q):
-        q += n
-    return q
-
-
 def materialize_orbit(
     t: SolutionTriple, symmetric: bool, n: int, q: int
 ) -> set[tuple[int, int]]:
@@ -118,11 +107,11 @@ def materialize_orbit(
 
     With symmetric=True the coordinate swap doubles the orbit.
     """
-    if (q - 1) % n != 0 or not sympy.isprime(q):
+    if (q - 1) % n != 0 or not polyutil.isprime(q):
         raise FermatError(f"q={q} is not a prime with n | q-1")
     if (t.x * t.y * t.z) % q == 0:
         raise FermatError("triple degenerates mod q")
-    g = int(sympy.primitive_root(q))
+    g = polyutil.primitive_root(q)
     xi = pow(g, (q - 1) // n, q)
     zinv = pow(t.z % q, -1, q)
     x0, y0 = t.x % q * zinv % q, t.y % q * zinv % q
@@ -148,7 +137,10 @@ def orbit_count(t: SolutionTriple, symmetric: bool, n: int) -> int:
     if not t.nontrivial:
         raise FermatError("orbit needs a nontrivial triple")
     double = symmetric and t.x**n != t.y**n
-    q = _orbit_field_prime(t, n, double)
+    # the least prime q = 1 mod n not dividing xyz, nor x^n - y^n when
+    # the doubled orbit must stay distinct
+    bad = t.x * t.y * t.z * (t.x**n - t.y**n if double else 1)
+    q = polyutil.prime_one_mod(n, n + 1, bad)
     pts = materialize_orbit(t, double, n, q)
     expected = 2 * n * n if double else n * n
     if len(pts) != expected:
@@ -186,11 +178,11 @@ def _nth_roots(target: int, n: int) -> list[int]:
     if n % 2 == 0:
         if target < 0:
             return []
-        r, exact = sympy.integer_nthroot(target, n)
-        return [int(r), -int(r)] if exact else []
+        r, exact = polyutil.integer_nthroot(target, n)
+        return [r, -r] if exact else []
     sign = 1 if target > 0 else -1
-    r, exact = sympy.integer_nthroot(abs(target), n)
-    return [sign * int(r)] if exact else []
+    r, exact = polyutil.integer_nthroot(abs(target), n)
+    return [sign * r] if exact else []
 
 
 def nonequivalent_classes(triples: list[SolutionTriple], n: int) -> list[SolutionTriple]:
@@ -225,7 +217,7 @@ def unique_triple_check(
     Requires p not dividing A*B (normalize the twist first so that at
     most one coefficient is divisible by p).
     """
-    if twist.n != p - 1 or not sympy.isprime(p):
+    if twist.n != p - 1 or not polyutil.isprime(p):
         raise FermatError("requires n = p - 1 with p prime")
     if (twist.A * twist.B) % p == 0:
         raise FermatError(

@@ -27,12 +27,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd
 
-from sympy import ZZ
-from sympy.polys.factortools import dup_factor_list, dup_zz_hensel_lift
-
 from thuecc import polyutil
 from thuecc.forms import FormShape, ThueInstance
-from thuecc.polyutil import IntPoly, poly_mod, vp
+from thuecc.polyutil import IntPoly, vp
 
 INF = float("inf")
 
@@ -94,8 +91,8 @@ def root_valuations(f, p: int) -> list[tuple[Val, int]]:
         raise ValueError("zero polynomial")
     k0 = next(i for i, c in enumerate(f) if c != 0)
     out: list[tuple[Val, int]] = [(INF, k0)] if k0 else []
+    # the hull's slopes strictly increase, so their negatives decrease
     out.extend((-slope, mult) for slope, mult in newton_polygon(f[k0:], p))
-    out.sort(key=lambda t: (t[0] != INF, -t[0] if t[0] != INF else 0))
     return out
 
 
@@ -113,8 +110,7 @@ def difference_valuations(shape: FormShape, p: int) -> list[tuple[Fraction, int]
     rpoly = polyutil.difference_resolvent(shape.radical)
     if rpoly[s] == 0:
         raise ValueError("resolvent divisible by x^(s+1): radical was not squarefree")
-    vals = root_valuations(rpoly[s:], p)
-    return [(Fraction(v), m) for v, m in vals]
+    return root_valuations(rpoly[s:], p)
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +232,8 @@ def hensel_track_roots(shape: FormShape, p: int, precision: int) -> TrackedRoots
         raise ValueError(f"tracking requires p not dividing the degree n={n}")
     entries: list[TrackedRoot] = []
     for mult, w in shape.sqf_parts:
-        for q, _e in dup_factor_list(polyutil.to_dense(w), ZZ)[1]:
-            qc = polyutil.from_dense(q)
-            deg = polyutil.degree(qc)
-            if deg == 1:
+        for qc in polyutil.factor_over_q(w):
+            if polyutil.degree(qc) == 1:
                 root = Fraction(-qc[0], qc[1])
                 entries.append(TrackedRoot(0, mult, "rational", rational=root))
                 continue
@@ -253,12 +247,7 @@ def hensel_track_roots(shape: FormShape, p: int, precision: int) -> TrackedRoots
                     f"factor {qc} is not squarefree mod {p}: roots cannot be "
                     "separated in unramified towers (profile mode still applies)"
                 )
-            # sympy works on descending coefficient lists and returns
-            # symmetric residues; the lifts are the monic factors of
-            # qc / lc(qc) mod p^precision
-            desc = [polyutil.to_dense(f) for f in [qc] + [f for f, _ in modular]]
-            lifted = dup_zz_hensel_lift(p, desc[0], desc[1:], precision, ZZ)
-            for fac in (poly_mod(f[::-1], p**precision) for f in lifted):
+            for fac in polyutil.hensel_lift(qc, [f for f, _ in modular], p, precision):
                 if polyutil.degree(fac) == 1:
                     approx = (-fac[0]) % p**precision
                     entries.append(TrackedRoot(0, mult, "lifted", approx=approx, factor=fac))

@@ -1,15 +1,16 @@
-"""Small exact-integer polynomial helpers shared across modules.
+"""The integer and polynomial kernels, and the package's only sympy client.
 
 Univariate integer polynomials are plain tuples of coefficients in
 *ascending* order: ``poly[k]`` is the coefficient of x^k.  The zero
 polynomial is the empty tuple.  Discriminants are computed here in
-plain integers, by the subresultant PRS.  Every sympy call in the
-package is either a dense ``dup_*``/``dmp_*``/``gf_*`` kernel on
-descending coefficient lists such as ``to_dense(f)`` (the difference
-resolvent, squarefree decomposition, factorization over Q and mod p,
-Hensel lifting) or an integer function (``isprime``, ``nextprime``,
-``primitive_root``, ``integer_nthroot``);
-no ``Poly`` or expression is built anywhere.
+plain integers, by the subresultant PRS.  No other module imports
+sympy.  Its dense kernels on descending coefficient lists,
+``dmp_resultant`` (the difference resolvent), ``dup_sqf_list``,
+``dup_factor_list``, ``gf_factor`` and ``dup_zz_hensel_lift``, are
+called behind ascending-tuple functions here; its integer functions
+``isprime``, ``nextprime``, ``primitive_root`` and ``integer_nthroot``
+are imported here and reached as ``polyutil.<name>``.  No ``Poly`` or
+expression is built anywhere.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd
 
-from sympy import ZZ
+from sympy import ZZ, integer_nthroot, isprime, nextprime, primitive_root  # noqa: F401
 from sympy.polys.euclidtools import dmp_resultant
+from sympy.polys.factortools import dup_factor_list, dup_zz_hensel_lift
 from sympy.polys.galoistools import gf_factor, gf_from_int_poly
 from sympy.polys.sqfreetools import dup_sqf_list
 
@@ -206,5 +208,36 @@ def factor_mod_p(f, p: int) -> list[tuple[IntPoly, int]]:
     return sorted(out, key=lambda t: (degree(t[0]), t[0]))
 
 
+def factor_over_q(f) -> list[IntPoly]:
+    """The irreducible factors of f over Q, in sympy's order, without
+    multiplicities."""
+    return [from_dense(g) for g, _ in dup_factor_list(to_dense(f), ZZ)[1]]
+
+
+def hensel_lift(f, factors, p: int, k: int) -> list[IntPoly]:
+    """The monic factors of f / lc(f) mod p^k lifting the monic factors
+    of f mod p, which must be pairwise coprime, reduced into [0, p^k)."""
+    lifted = dup_zz_hensel_lift(p, to_dense(f), [to_dense(g) for g in factors], k, ZZ)
+    return [poly_mod(g[::-1], p**k) for g in lifted]
+
+
 def poly_mod(f, m: int) -> IntPoly:
     return trim(tuple(c % m for c in f))
+
+
+def prime_not_dividing(h: int, start: int) -> int:
+    """The least prime above start that does not divide h."""
+    q = nextprime(start)
+    while h % q == 0:
+        q = nextprime(q)
+    return q
+
+
+def prime_one_mod(n: int, start: int, avoid: int = 1) -> int:
+    """The least prime q in start, start + n, start + 2n, ... that does
+    not divide avoid: for start = 1 mod n, the least prime q = 1 (mod n)
+    from start on."""
+    q = start
+    while not (isprime(q) and avoid % q):
+        q += n
+    return q

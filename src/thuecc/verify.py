@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import sympy
-
 from thuecc import bounds as bnd
 from thuecc import charts as ch
 from thuecc import enumerate as en
@@ -103,7 +101,7 @@ def _chart_prime(h: int, n: int) -> tuple[int | None, int]:
             return q, 1
         else:
             rest //= q
-    if q * q > rest or sympy.isprime(rest):
+    if q * q > rest or polyutil.isprime(rest):
         return (rest, 1) if rest > n else (None, 1)
     return None, rest
 

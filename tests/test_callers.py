@@ -1,7 +1,8 @@
 """Regrowth guards: every top-level function and class in src/thuecc,
 every method other than a dunder, and every dataclass field has a reader
 outside the tests; every function the benchmark tracer wraps exists; the
-package's __init__.py is its docstring alone, so no name is re-exported.
+package's __init__.py is its docstring alone, so no name is re-exported;
+polyutil is the only module that imports sympy.
 
 A definition counts as reached when its name is read (as a name or an
 attribute) somewhere in src/thuecc other than __init__.py and its own
@@ -153,6 +154,27 @@ def test_every_tracer_target_resolves():
         if not hasattr(owner, fn):
             missing.append(f"{layer}.{fn}")
     assert missing == []
+
+
+def sympy_importers(src: Path = SRC) -> list[str]:
+    """The modules of src/thuecc with an import of sympy or a submodule."""
+    out = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "sympy" for name in names):
+                out.append(path.stem)
+                break
+    return out
+
+
+def test_only_polyutil_imports_sympy():
+    assert sympy_importers() == ["polyutil"]
 
 
 def test_package_reexports_nothing():

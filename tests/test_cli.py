@@ -42,6 +42,7 @@ def test_analyze_corpus(tmp_path, capsys):
     corpus = tmp_path / "corpus.jsonl"
     lines = [
         json.dumps({"coeffs": [1, 0, 0, 0, 1], "h": 17}),
+        "  ",  # blank lines are skipped
         json.dumps({"coeffs": [1, 0, 0, -2], "h": 1, "notes": "cubic"}),
         json.dumps({"coeffs": [1, -7, 6, 0], "h": 30}),
     ]
@@ -227,6 +228,10 @@ def test_input_errors(tmp_path, capsys):
     assert "unrecognized arguments: --precision" in capsys.readouterr().err
     assert main(["verify", "--F", "0,0,0,1", "--h", "5"]) == 3  # reducible model
     assert "reducible" in json.loads(capsys.readouterr().out)["rows"][0]["error"]
+    assert main(["bound", "--F", "0,0,0,1", "--h", "5"]) == 3
+    assert json.loads(capsys.readouterr().out)["rows"] == [
+        {"instance": "F=[0 0 0 1];h=5", "error": "reducible model"}
+    ]
     # usage errors are input errors, not the exit 2 of a failed check
     assert main(["analyze", "--F", "1,0,0,0,1", "--h", "17", "--bogus"]) == 3
     assert main(["verify", "--F", "-1,0,0,0,1", "--h", "17"]) == 3  # needs --F=-1,...
@@ -234,6 +239,8 @@ def test_input_errors(tmp_path, capsys):
     # boxes below 1 are rejected, not scanned as empty or replaced by the default
     assert main(["verify", "--F", "1,0,0,0,1", "--h", "17", "--box", "-5"]) == 3
     assert main(["verify", "--F", "1,0,0,0,1", "--h", "17", "--box", "0"]) == 3
+    assert main(["verify", "--F", "1,0,0,0,1", "--h", "17", "--box", "abc"]) == 3
+    assert "expected an integer >= 1, got 'abc'" in capsys.readouterr().err
     assert main(["fermat", "check", "--A", "1", "--B", "1", "--C", "17",
                  "--n", "4", "--p", "5", "--box", "-1"]) == 3
     # orbits need n >= 2: n = 0 divided by zero, n = 1 never returned

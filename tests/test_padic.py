@@ -39,6 +39,10 @@ def test_newton_polygon_basic():
     assert root_valuations((-25, 0, 1), 5) == [(Fraction(1), 2)]
     # (x-1)(x-5) = 5 - 6x + x^2
     assert root_valuations((5, -6, 1), 5) == [(Fraction(1), 1), (Fraction(0), 1)]
+    # x (x-1)(x-5)(x-25): three slopes and a zero root
+    assert root_valuations((0, -125, 155, -31, 1), 5) == [
+        (INF, 1), (Fraction(2), 1), (Fraction(1), 1), (Fraction(0), 1)
+    ]
 
 
 def test_newton_polygon_zero_roots():
@@ -140,7 +144,7 @@ def test_tracked_differences_match_resolvent(linear, tail, p):
     st.sampled_from([2, 3, 5, 7, 11, 13]),
 )
 @settings(max_examples=150, deadline=None)
-def test_default_precision_reads_discriminant_off_dstar(coeffs, k, h, p):
+def test_default_precision_reads_the_radical_discriminant(coeffs, k, h, p):
     """default_precision's discriminant term must equal the valuation of
     the radical's discriminant computed directly."""
     coeffs[0] *= p**k  # make p | lc(radical) common

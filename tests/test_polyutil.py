@@ -1,13 +1,14 @@
 """Properties of the polynomial kernels in polyutil (the integer
 discriminant, and the dense sympy kernels for the difference resolvent,
-the squarefree split and factorization mod p), each checked against an
-oracle that shares no code with the kernel: products of root
-differences, Sylvester determinants over Fraction, sympy's
-dup_discriminant and brute force over F_p."""
+the squarefree split and factorization mod p) and the search for a
+prime = 1 (mod n), each checked against an oracle that shares no code
+with the kernel: products of root differences, Sylvester determinants
+over Fraction, sympy's dup_discriminant, brute force over F_p and trial
+division."""
 
 from collections import Counter
 from itertools import combinations, permutations
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -194,3 +195,16 @@ def test_factor_mod_p_properties(f, p):
     for g, _ in factors:
         if len(g) > 2:
             assert all(_value_mod(g, r, p) for r in range(p))
+
+
+@given(st.integers(2, 40), st.integers(-(10**6), 10**6).filter(bool))
+@settings(max_examples=150, deadline=None)
+@example(n=5, avoid=1)
+@example(n=4, avoid=5 * 13 * 17)
+def test_prime_one_mod_is_the_least_admissible_prime(n, avoid):
+    def is_prime(q):
+        return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
+
+    q = polyutil.prime_one_mod(n, n + 1, avoid)
+    assert q % n == 1 and is_prime(q) and avoid % q
+    assert not any(is_prime(r) and avoid % r for r in range(n + 1, q, n))
