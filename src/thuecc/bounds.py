@@ -297,7 +297,7 @@ def refined_bounds(
     n = instance.n
     reports = []
     if polyutil.isprime(n) and n >= 5:
-        case = classify_prime(instance, polyutil.prime_one_mod(n, 2 * n + 1))
+        case = classify_prime(instance, polyutil.prime_one_mod(n))
         reports.append(refined_bounds_prime_degree(n, case, hypothesis))
     if polyutil.isprime(n + 1) and n + 1 >= 5:
         s_eff = len(instance.shape.all_multiplicities())

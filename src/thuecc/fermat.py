@@ -140,7 +140,7 @@ def orbit_count(t: SolutionTriple, symmetric: bool, n: int) -> int:
     # the least prime q = 1 mod n not dividing xyz, nor x^n - y^n when
     # the doubled orbit must stay distinct
     bad = t.x * t.y * t.z * (t.x**n - t.y**n if double else 1)
-    q = polyutil.prime_one_mod(n, n + 1, bad)
+    q = polyutil.prime_one_mod(n, bad)
     pts = materialize_orbit(t, double, n, q)
     expected = 2 * n * n if double else n * n
     if len(pts) != expected:

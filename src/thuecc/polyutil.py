@@ -233,11 +233,9 @@ def prime_not_dividing(h: int, start: int) -> int:
     return q
 
 
-def prime_one_mod(n: int, start: int, avoid: int = 1) -> int:
-    """The least prime q in start, start + n, start + 2n, ... that does
-    not divide avoid: for start = 1 mod n, the least prime q = 1 (mod n)
-    from start on."""
-    q = start
+def prime_one_mod(n: int, avoid: int = 1) -> int:
+    """The least prime q = 1 (mod n) not dividing avoid."""
+    q = n + 1
     while not (isprime(q) and avoid % q):
         q += n
     return q

@@ -205,6 +205,6 @@ def test_prime_one_mod_is_the_least_admissible_prime(n, avoid):
     def is_prime(q):
         return q > 1 and all(q % d for d in range(2, isqrt(q) + 1))
 
-    q = polyutil.prime_one_mod(n, n + 1, avoid)
+    q = polyutil.prime_one_mod(n, avoid)
     assert q % n == 1 and is_prime(q) and avoid % q
     assert not any(is_prime(r) and avoid % r for r in range(n + 1, q, n))
