@@ -251,7 +251,8 @@ def cmd_fermat(args) -> tuple[dict, int]:
     if args.verb == "check":
         twist = fm.FermatTwist(args.A, args.B, args.C, args.n)
         hyp = _parse_hypothesis(args.hypothesis)
-        rep = fm.unique_triple_check(twist, args.p, hyp, box=args.box or 20)
+        box = {} if args.box is None else {"box": args.box}
+        rep = fm.unique_triple_check(twist, args.p, hyp, **box)
         payload = {
             "command": "fermat check",
             "twist": twist.to_dict(),

@@ -15,14 +15,16 @@ solution and is skipped before any candidate is built.
 
 Every evaluation of a binary form over F_q (the sieve tables, the
 affine and projective point counts) goes through one kernel, _values,
-which evaluates F(1, t) on every t in F_q at once by Horner's rule, one
-pass over the list per coefficient.  The sieve tables group its
-list by value and read the roots in y for every x mod q off those
-buckets (root_table).  The point counts count its values line by line: the
-affine points off the origin lie on the lines (l, l t) and (0, l), and
-on a line of F-value v != 0 the equation l^n v = h has d = gcd(n, q - 1)
-solutions when v / h is a d-th power and none otherwise, so one table of
-the d-th powers mod q replaces a pass over the rows (_line_counts).
+which tabulates f(t) = F(1, t) on every t in F_q at once from its
+forward differences: f is evaluated exactly at t = 0..n only, and
+running sums of the differences, n additions per point, carry it
+through the rest of F_q.  The sieve tables group its list by value and
+read the roots in y for every x mod q off those buckets (root_table).
+The point counts count its values line by line: the affine points off
+the origin lie on the lines (l, l t) and (0, l), and on a line of
+F-value v != 0 the equation l^n v = h has d = gcd(n, q - 1) solutions
+when v lies in the coset h (F_q^*)^d and none otherwise, so one
+membership test per value replaces a pass over the rows (_line_counts).
 
 Results are plain values: primitive_solutions returns the tuple of
 solution pairs and residue_class_census the sorted tuple of classes.
@@ -30,8 +32,8 @@ solution pairs and residue_class_census the sorted tuple of classes.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Sequence
+from itertools import accumulate, islice, repeat
 from math import gcd, isqrt
 
 from thuecc import polyutil
@@ -92,16 +94,17 @@ def root_table(coeffs, h: int, q: int) -> list[list[int]]:
     """Row x in F_q (q prime): the y, ascending, with sum_i coeffs[i]
     x^(n-i) y^i = h mod q, coeffs in BinaryForm order.
 
-    Row 0 solves coeffs[n] y^n = h directly.  For x != 0, F(x, x t) =
-    x^n f(t) with f(t) = F(1, t), so row x is x t over the bucket of
-    f-values h x^(-n).
+    Row 0 solves coeffs[n] y^n = h: the t where the form coeffs[n] t^n
+    takes the value h.  For x != 0, F(x, x t) = x^n f(t) with f(t) =
+    F(1, t), so row x is x t over the bucket of f-values h x^(-n).
     """
     n = len(coeffs) - 1
     target = h % q
     buckets: dict[int, list[int]] = {}
     for t, v in enumerate(_values(coeffs, q)):
         buckets.setdefault(v, []).append(t)
-    table = [[y for y in range(q) if (coeffs[-1] * pow(y, n, q) - target) % q == 0]]
+    top = _values([0] * n + [coeffs[-1]], q)
+    table = [[y for y, v in enumerate(top) if v == target]]
     for x in range(1, q):
         table.append(sorted(x * t % q for t in buckets.get(target * pow(x, -n, q) % q, ())))
     return table
@@ -116,31 +119,49 @@ def _line_counts(coeffs, h: int, q: int) -> tuple[int, int]:
     one l != 0, and F takes the value l^n v there, v = F(1, t) or c_n.
     For q | h a line of value 0 holds q - 1 points and any other line
     none; the origin adds one.  Otherwise l^n = h / v has d = gcd(n,
-    q - 1) roots when v / h is a nonzero d-th power and none otherwise.
+    q - 1) roots when v lies in the coset h (F_q^*)^d and none
+    otherwise.  For d = 1 that coset is all of F_q^*, so each of the
+    q + 1 lines that is not a zero of F holds one point.
     """
     n = len(coeffs) - 1
-    counts = Counter(_values(coeffs, q))
-    zeros = counts[0] + (coeffs[-1] % q == 0)
+    values = _values(coeffs, q)
+    top = coeffs[-1] % q
+    zeros = values.count(0) + (top == 0)
     if h % q == 0:
         return 1 + (q - 1) * zeros, zeros
     d = gcd(n, q - 1)
-    power = bytearray(q)  # power[r] = 1 iff r is a nonzero d-th power
-    for x in range(1, q):
-        power[x**d % q] = 1
-    h_inv = pow(h, -1, q)
-    lines = sum(m for v, m in counts.items() if power[v * h_inv % q])
-    lines += power[coeffs[-1] * h_inv % q]
+    if d == 1:
+        return q + 1 - zeros, zeros
+    # x and q - x have the same d-th power up to the sign (-1)^d, so half
+    # of F_q^* gives the coset, or half of it closed under negation
+    coset = {h * r % q for r in map(pow, range(1, (q + 1) // 2), repeat(d), repeat(q))}
+    if d % 2:
+        coset |= {q - v for v in coset}
+    lines = sum(map(coset.__contains__, values)) + (top in coset)
     return d * lines, zeros
 
 
 def _values(coeffs, q: int) -> list[int]:
-    """F(1, t) mod q for t = 0, 1, ..., q - 1, by Horner's rule run on
-    every t at once: one pass over the list per coefficient."""
-    values = [coeffs[-1] % q] * q
+    """F(1, t) mod q for t = 0, 1, ..., q - 1, from the forward
+    differences of f(t) = F(1, t) at 0.
+
+    f is evaluated at t = 0..n by Horner's rule; its k-th differences
+    at 0 seed n running sums, each summing the next one's output, over
+    the constant n-th difference.  Every point past t = n costs n
+    additions, run in C by accumulate, and one reduction mod q.
+    """
+    n = len(coeffs) - 1
+    row = [coeffs[-1] % q] * (n + 1)
     for c in reversed(coeffs[:-1]):
-        c %= q
-        values = [(v * t + c) % q for v, t in zip(values, range(q))]
-    return values
+        row = [(v * t + c) % q for v, t in zip(row, range(n + 1))]
+    starts = []
+    for _ in range(n):
+        starts.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    seq = repeat(row[0], q)
+    for s0 in reversed(starts):
+        seq = accumulate(seq, initial=s0)
+    return [v % q for v in islice(seq, q)]
 
 
 def primitive_solutions(instance: ThueInstance, box: int) -> tuple[tuple[int, int], ...]:
@@ -168,10 +189,12 @@ def count_affine_points_mod_p(instance: ThueInstance, p: int) -> int:
 
 def count_projective_smooth(instance: ThueInstance, p: int) -> int:
     """Projective F_p-points of h z^n = F(x,y) when that plane curve is
-    smooth: requires s = n (distinct roots, none at infinity) and p not
-    dividing h*d*(F).  Cross-checked against the projection bound
-    (n-1)(p+1) and the Weil interval |N - (p+1)| <= 2g sqrt(p).
+    smooth: requires p prime, s = n (distinct roots, none at infinity)
+    and p not dividing h*d*(F).  Cross-checked against the projection
+    bound (n-1)(p+1) and the Weil interval |N - (p+1)| <= 2g sqrt(p).
     """
+    if not polyutil.isprime(p):
+        raise ValueError(f"smooth count requires a prime modulus, got {p}")
     shape = instance.shape
     n = instance.n
     if shape.s != n or shape.degree_deficit != 0:

@@ -206,7 +206,6 @@ def unique_triple_check(
     p: int,
     hypothesis: RankHypothesis | None,
     box: int = 20,
-    triples: list[SolutionTriple] | None = None,
 ) -> UniqueTripleReport:
     """At most one nonequivalent nontrivial triple under the rank
     hypothesis for n = p - 1.
@@ -223,7 +222,7 @@ def unique_triple_check(
         raise FermatError(
             "p divides A*B: move the p-divisible coefficient to C before checking"
         )
-    found = triples if triples is not None else search_triples(twist, box)
+    found = search_triples(twist, box)
     classes = nonequivalent_classes([t for t in found if t.nontrivial], twist.n)
     threshold = Fraction(p - 3, 2)
     asserted = hypothesis is not None and hypothesis.implies_mw_lt(threshold)

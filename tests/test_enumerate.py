@@ -14,6 +14,7 @@ from thuecc import polyutil
 from thuecc.bounds import classify_prime
 from thuecc.enumerate import (
     _line_counts,
+    _values,
     count_affine_points_mod_p,
     count_projective_smooth,
     default_box,
@@ -400,6 +401,21 @@ def test_root_table_matches_brute_double_loop(case):
     assert _line_counts(coeffs, h, q)[0] == count
 
 
+PRIMES_TO_113 = [q for q in range(2, 114) if all(q % k for k in range(2, q))]
+
+
+@given(
+    st.sampled_from(PRIMES_TO_113),
+    st.lists(st.integers(-(10**12), 10**12), min_size=1, max_size=13),
+)
+@settings(max_examples=300, deadline=None)
+def test_values_match_the_defining_sum(q, coeffs):
+    # degree 0 to 12, and q <= n, where the difference table is seeded
+    # past q - 1
+    expect = [sum(c * t**i for i, c in enumerate(coeffs)) % q for t in range(q)]
+    assert _values(coeffs, q) == expect
+
+
 @given(
     st.sampled_from(PRIMES_TO_31[3:]),
     st.integers(3, 6).flatmap(
@@ -427,9 +443,6 @@ def test_projective_smooth_count_brute_property(p, middle, c0, cn, p_divides_cn,
         if (x or y) and form_value(F.coeffs, x, y) % p == 0
     )
     assert count_projective_smooth(inst, p) == affine + nonzero // (p - 1)
-
-
-PRIMES_TO_113 = [q for q in range(2, 114) if all(q % k for k in range(2, q))]
 
 
 @st.composite
@@ -485,6 +498,15 @@ def test_projective_smooth_pre_enforced():
     sh_bad = ThueInstance.build(product_form([0, 1], [2, 2]), 3)
     with pytest.raises(ValueError):
         count_projective_smooth(sh_bad, 7)
+
+
+def test_projective_smooth_rejects_a_composite_modulus():
+    # 9 and 15 returned counts and 25 and 49 failed the projection bound
+    # and the Weil interval; none of them is a field
+    inst = ThueInstance.build(BinaryForm.from_coeffs([1, 0, 0, 0, 1]), 17)
+    for p in (9, 15, 25, 49):
+        with pytest.raises(ValueError, match="prime modulus"):
+            count_projective_smooth(inst, p)
 
 
 def test_census_worked_example():

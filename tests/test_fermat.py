@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thuecc import fermat
 from thuecc.bounds import RankHypothesis
 from thuecc.fermat import (
     FermatError,
@@ -128,13 +129,12 @@ def test_search_triples_finds_known():
     assert SolutionTriple(2, 1, 1) in found
 
 
-def test_unique_triple_contrapositive():
+def test_unique_triple_contrapositive(monkeypatch):
     # two nonequivalent triples force the rank conclusion
     t1, t2 = SolutionTriple(1, 2, 1), SolutionTriple(2, 1, 1)
     tw = solve_coefficients(t1, t2, 4)
-    rep = unique_triple_check(
-        tw, 5, RankHypothesis("mw_lt_threshold", 1), triples=[t1, t2]
-    )
+    monkeypatch.setattr(fermat, "search_triples", lambda twist, box: [t1, t2])
+    rep = unique_triple_check(tw, 5, RankHypothesis("mw_lt_threshold", 1))
     assert len(rep.classes) == 2
     assert not rep.consistent
     assert "rank over Q >= 1" in rep.conclusion
