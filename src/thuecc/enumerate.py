@@ -183,7 +183,9 @@ def primitive_solutions(instance: ThueInstance, box: int) -> tuple[tuple[int, in
 
 
 def count_affine_points_mod_p(instance: ThueInstance, p: int) -> int:
-    """Number of (x, y) in F_p^2 with F(x,y) = h mod p."""
+    """Number of (x, y) in F_p^2 with F(x,y) = h mod p, for p prime."""
+    if not polyutil.isprime(p):
+        raise ValueError(f"point count requires a prime modulus, got {p}")
     return _line_counts(instance.form.coeffs, instance.h, p)[0]
 
 

@@ -2,13 +2,13 @@
 
 Constructions: recovering (A,B,C) from two solution triples by solving
 the 2x3 linear system, the equivalence relation comparing n-th power
-vectors projectively, scaling-orbit counts over cyclotomic fields
-(verified concretely over a finite field containing the n-th roots of
-unity), and the at-most-one-triple consequence with its contrapositive
-rank conclusion.
+vectors projectively, scaling-orbit counts over cyclotomic fields (in
+closed form, from the order of the root of unity and whether x^n = y^n),
+and the at-most-one-triple consequence with its contrapositive rank
+conclusion.
 
-Everything is exact integer / rational arithmetic; finite-field orbit
-materialization replaces any appeal to complex roots of unity.
+Everything is exact integer / rational arithmetic; no complex root of
+unity is ever evaluated.
 """
 
 from __future__ import annotations
@@ -99,53 +99,24 @@ def equivalence(t1: SolutionTriple, t2: SolutionTriple, n: int) -> bool:
     return _cross(t1.power_vector(n), t2.power_vector(n)) == (0, 0, 0)
 
 
-def materialize_orbit(
-    t: SolutionTriple, symmetric: bool, n: int, q: int
-) -> set[tuple[int, int]]:
-    """Orbit of the reduced point under the two root-of-unity scalings
-    over F_q (with n | q - 1), as projective points normalized to z = 1.
-
-    With symmetric=True the coordinate swap doubles the orbit.
-    """
-    if (q - 1) % n != 0 or not polyutil.isprime(q):
-        raise FermatError(f"q={q} is not a prime with n | q-1")
-    if (t.x * t.y * t.z) % q == 0:
-        raise FermatError("triple degenerates mod q")
-    g = polyutil.primitive_root(q)
-    xi = pow(g, (q - 1) // n, q)
-    zinv = pow(t.z % q, -1, q)
-    x0, y0 = t.x % q * zinv % q, t.y % q * zinv % q
-    pts = set()
-    reps = [(x0, y0)] + ([(y0, x0)] if symmetric else [])
-    for rx, ry in reps:
-        for a in range(n):
-            for b in range(n):
-                pts.add((pow(xi, a, q) * rx % q, pow(xi, b, q) * ry % q))
-    return pts
-
-
 def orbit_count(t: SolutionTriple, symmetric: bool, n: int) -> int:
     """n^2 scaled copies of a nontrivial point; 2n^2 with the coordinate
     swap when A = B and the n-th powers of x and y differ.
 
-    Distinctness is verified by materializing the orbit over a suitable
-    finite field; distinctness mod q implies distinctness in
-    characteristic zero.
+    With xi a primitive n-th root of unity, the copies (xi^a x : xi^b y : z)
+    for 0 <= a, b < n are distinct because xi has order n and x, y != 0.
+    The swapped copies (xi^a y : xi^b x : z) form a second coset of the
+    same group, which equals the first when y/x is an n-th root of unity,
+    that is x^n = y^n, and is disjoint from it otherwise.  For integers,
+    x^n = y^n exactly when x = y, or x = -y with n even; no n-th power is
+    built.
     """
     if n < 2:
         raise FermatError("need n >= 2")
     if not t.nontrivial:
         raise FermatError("orbit needs a nontrivial triple")
-    double = symmetric and t.x**n != t.y**n
-    # the least prime q = 1 mod n not dividing xyz, nor x^n - y^n when
-    # the doubled orbit must stay distinct
-    bad = t.x * t.y * t.z * (t.x**n - t.y**n if double else 1)
-    q = polyutil.prime_one_mod(n, bad)
-    pts = materialize_orbit(t, double, n, q)
-    expected = 2 * n * n if double else n * n
-    if len(pts) != expected:
-        raise AssertionError(f"orbit mod {q} has {len(pts)} points, expected {expected}")
-    return expected
+    powers_differ = t.x != t.y and not (n % 2 == 0 and t.x == -t.y)
+    return 2 * n * n if symmetric and powers_differ else n * n
 
 
 def search_triples(twist: FermatTwist, box: int) -> list[SolutionTriple]:

@@ -8,9 +8,9 @@ sympy.  Its dense kernels on descending coefficient lists,
 ``dmp_resultant`` (the difference resolvent), ``dup_sqf_list``,
 ``dup_factor_list``, ``gf_factor`` and ``dup_zz_hensel_lift``, are
 called behind ascending-tuple functions here; its integer functions
-``isprime``, ``nextprime``, ``primitive_root`` and ``integer_nthroot``
-are imported here and reached as ``polyutil.<name>``.  No ``Poly`` or
-expression is built anywhere.
+``isprime``, ``nextprime`` and ``integer_nthroot`` are imported here
+and reached as ``polyutil.<name>``.  No ``Poly`` or expression is built
+anywhere.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, gcd
 
-from sympy import ZZ, integer_nthroot, isprime, nextprime, primitive_root  # noqa: F401
+from sympy import ZZ, integer_nthroot, isprime, nextprime  # noqa: F401
 from sympy.polys.euclidtools import dmp_resultant
 from sympy.polys.factortools import dup_factor_list, dup_zz_hensel_lift
 from sympy.polys.galoistools import gf_factor, gf_from_int_poly
@@ -233,9 +233,9 @@ def prime_not_dividing(h: int, start: int) -> int:
     return q
 
 
-def prime_one_mod(n: int, avoid: int = 1) -> int:
-    """The least prime q = 1 (mod n) not dividing avoid."""
+def prime_one_mod(n: int) -> int:
+    """The least prime q = 1 (mod n)."""
     q = n + 1
-    while not (isprime(q) and avoid % q):
+    while not isprime(q):
         q += n
     return q

@@ -3,7 +3,8 @@ oracles (brute-force Z_p root counting, partition enumeration, Sylvester
 resultants, products over root differences, factoring over Q, sympy's
 discriminant and squarefree split, the jacobian decomposition under the
 order-n automorphism, the swapped form, v_p(F(a, b)) from a valuation
-profile, a bound report's entry by name)."""
+profile, a bound report's entry by name, Fermat-twist scaling orbits
+materialized over a finite field)."""
 
 from __future__ import annotations
 
@@ -17,6 +18,7 @@ from sympy.polys.euclidtools import dup_discriminant
 from sympy.polys.sqfreetools import dup_sqf_list
 
 from thuecc import polyutil
+from thuecc.fermat import SolutionTriple
 from thuecc.forms import BinaryForm, ThueInstance
 from thuecc.newton_zero import CoeffValuationSeq
 from thuecc.padic import INF
@@ -323,3 +325,38 @@ def isotypic_dimension(n: int, d: int, s: int, multiplicities=None) -> int:
     if val.denominator != 1:
         raise ValueError(f"non-integral dimension {val}: hypotheses violated")
     return int(val)
+
+
+def orbit_field_prime(t: SolutionTriple, n: int) -> int:
+    """The least prime q = 1 (mod n) dividing neither xyz nor, when it is
+    nonzero, x^n - y^n: over F_q the orbit of t keeps the size it has in
+    characteristic zero."""
+    bad = t.x * t.y * t.z * ((t.x**n - t.y**n) or 1)
+    q = n + 1
+    while not (sympy.isprime(q) and bad % q):
+        q += n
+    return q
+
+
+def materialize_orbit(
+    t: SolutionTriple, symmetric: bool, n: int, q: int
+) -> set[tuple[int, int]]:
+    """Orbit of the reduced point under the two root-of-unity scalings
+    over F_q (with n | q - 1), as projective points normalized to z = 1.
+
+    With symmetric=True the coordinate swap is applied too.
+    """
+    if (q - 1) % n != 0 or not sympy.isprime(q):
+        raise ValueError(f"q={q} is not a prime with n | q-1")
+    if (t.x * t.y * t.z) % q == 0:
+        raise ValueError("triple degenerates mod q")
+    xi = pow(sympy.primitive_root(q), (q - 1) // n, q)
+    zinv = pow(t.z % q, -1, q)
+    x0, y0 = t.x % q * zinv % q, t.y % q * zinv % q
+    pts = set()
+    reps = [(x0, y0)] + ([(y0, x0)] if symmetric else [])
+    for rx, ry in reps:
+        for a in range(n):
+            for b in range(n):
+                pts.add((pow(xi, a, q) * rx % q, pow(xi, b, q) * ry % q))
+    return pts

@@ -16,6 +16,7 @@ from helpers import (
     bound_entry,
     certified_zp_roots,
     isotypic_dimension,
+    materialize_orbit,
     partitions,
     product_form,
     random_form,
@@ -45,7 +46,6 @@ from thuecc.enumerate import (
 from thuecc.fermat import (
     SolutionTriple,
     equivalence,
-    materialize_orbit,
     orbit_count,
     solve_coefficients,
 )

@@ -2,7 +2,8 @@
 every method other than a dunder, and every dataclass field has a reader
 outside the tests; every function the benchmark tracer wraps exists; the
 package's __init__.py is its docstring alone, so no name is re-exported;
-polyutil is the only module that imports sympy.
+polyutil is the only module that imports sympy, and every sympy name it
+imports is read somewhere in src/thuecc.
 
 A definition counts as reached when its name is read (as a name or an
 attribute) somewhere in src/thuecc other than __init__.py and its own
@@ -175,6 +176,26 @@ def sympy_importers(src: Path = SRC) -> list[str]:
 
 def test_only_polyutil_imports_sympy():
     assert sympy_importers() == ["polyutil"]
+
+
+def unread_sympy_imports(src: Path = SRC) -> list[str]:
+    """The names polyutil imports from sympy that no module of src/thuecc
+    reads, as a name in polyutil or as polyutil.<name> elsewhere; its
+    noqa re-export line would otherwise keep a dead name."""
+    trees = [ast.parse(path.read_text()) for path in sorted(src.glob("*.py"))]
+    read = set().union(*(_names_read(tree) for tree in trees))
+    polyutil = ast.parse((src / "polyutil.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in polyutil.body
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "sympy"
+        for alias in node.names
+    ]
+    return [name for name in imported if name not in read]
+
+
+def test_every_sympy_import_is_read():
+    assert unread_sympy_imports() == []
 
 
 def test_package_reexports_nothing():

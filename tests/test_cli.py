@@ -1,5 +1,6 @@
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -367,6 +368,16 @@ def test_fermat_orbit(capsys):
         capsys, "fermat", "orbit", "--t", "1,2,1", "--n", "4", "--symmetric"
     )
     assert json.loads(out2)["count"] == 32
+    # x = -y: x^n = y^n for even n, so the swap adds nothing; not for odd n
+    code, out = run(capsys, "fermat", "orbit", "--t=1,-1,2", "--n", "4", "--symmetric")
+    assert (code, json.loads(out)["count"]) == (0, 16)
+    code, out = run(capsys, "fermat", "orbit", "--t=1,-1,2", "--n", "5", "--symmetric")
+    assert (code, json.loads(out)["count"]) == (0, 50)
+    # the count never builds the 2 * 10^10 points of the orbit
+    start = time.perf_counter()
+    code, out = run(capsys, "fermat", "orbit", "--t=1,2,1", "--n", "100000", "--symmetric")
+    assert time.perf_counter() - start < 1.0
+    assert (code, json.loads(out)["count"]) == (0, 20000000000)
 
 
 def test_fermat_check_contrapositive(capsys):

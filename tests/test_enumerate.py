@@ -507,6 +507,8 @@ def test_projective_smooth_rejects_a_composite_modulus():
     for p in (9, 15, 25, 49):
         with pytest.raises(ValueError, match="prime modulus"):
             count_projective_smooth(inst, p)
+        with pytest.raises(ValueError, match="prime modulus"):
+            count_affine_points_mod_p(inst, p)
 
 
 def test_census_worked_example():

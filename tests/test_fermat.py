@@ -1,9 +1,10 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from helpers import materialize_orbit, orbit_field_prime
 from thuecc import fermat
 from thuecc.bounds import RankHypothesis
 from thuecc.fermat import (
@@ -11,7 +12,6 @@ from thuecc.fermat import (
     FermatTwist,
     SolutionTriple,
     equivalence,
-    materialize_orbit,
     nonequivalent_classes,
     orbit_count,
     search_triples,
@@ -107,6 +107,25 @@ def test_orbit_over_f13():
     assert len(pts) == 16
     swapped = materialize_orbit(SolutionTriple(1, 2, 1), True, 4, 13)
     assert len(swapped) == 32
+
+
+@st.composite
+def _orbit_case(draw):
+    """(triple, symmetric, n) with x = y or x = -y in about half the draws."""
+    n = draw(st.integers(2, 30))
+    x = draw(nonzero)
+    y = draw(st.sampled_from([x, -x]) | nonzero)
+    return SolutionTriple(x, y, draw(nonzero)), draw(st.booleans()), n
+
+
+@given(_orbit_case())
+@settings(max_examples=200, deadline=None)
+@example((SolutionTriple(1, -1, 2), True, 5))
+@example((SolutionTriple(3, 3, 1), True, 2))
+def test_orbit_count_matches_the_materialized_orbit(case):
+    t, symmetric, n = case
+    q = orbit_field_prime(t, n)
+    assert orbit_count(t, symmetric, n) == len(materialize_orbit(t, symmetric, n, q))
 
 
 def test_orbit_random_triples():
