@@ -112,7 +112,7 @@ def _analyze_row(instance: ThueInstance, p_override: int | None) -> dict:
         "multiplicities": list(shape.multiplicities),
         "degree_deficit": shape.degree_deficit,
         "genus": instance.genus,
-        "dstar": str(instance.dstar),
+        "dstar": instance.dstar,
         "irreducible": instance.irreducible,
     }
     if instance.content_removed > 1:
@@ -268,10 +268,46 @@ def cmd_fermat(args) -> tuple[dict, int]:
 
 
 def _emit(payload: dict, args) -> None:
-    fmt = getattr(args, "format", "json")
+    try:
+        text = _format(payload, getattr(args, "format", "json"))
+    except ValueError:
+        # str() of an integer past Python's digit limit, the one ValueError
+        # writing can raise; the payload is walked only then, to name it
+        name = _too_long(payload)
+        if name is None:
+            raise
+        raise InputError(
+            f"{name} has more than {sys.get_int_max_str_digits()} decimal digits, "
+            f"the limit for writing an integer"
+        ) from None
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(text + "\n")
+    else:
+        print(text)
+
+
+def _too_long(value, name: str = "") -> str | None:
+    """The key of the first value in the payload that str() cannot write,
+    or None."""
+    if isinstance(value, dict):
+        found = (_too_long(v, f"{name}.{k}" if name else k) for k, v in value.items())
+    elif isinstance(value, list):
+        found = (_too_long(v, name) for v in value)
+    else:
+        try:
+            str(value)
+        except ValueError:
+            return name
+        return None
+    return next(filter(None, found), None)
+
+
+def _format(payload: dict, fmt: str) -> str:
     if fmt == "json":
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    elif fmt == "csv":
+        # d* is a Fraction, written as its str
+        return json.dumps(payload, indent=2, sort_keys=True, default=str)
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in payload.get("rows", []):
@@ -287,14 +323,8 @@ def _emit(payload: dict, args) -> None:
                     writer.writerow([row["instance"], row["box"], row["count"], x, y])
             else:
                 writer.writerow([str(v) for v in row.values()])
-        text = buf.getvalue().removesuffix("\n")
-    else:
-        text = _render_text(payload)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+        return buf.getvalue().removesuffix("\n")
+    return _render_text(payload)
 
 
 def _render_text(payload: dict) -> str:

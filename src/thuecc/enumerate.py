@@ -20,11 +20,12 @@ forward differences: f is evaluated exactly at t = 0..n only, and
 running sums of the differences, n additions per point, carry it
 through the rest of F_q.  The sieve tables group its list by value and
 read the roots in y for every x mod q off those buckets (root_table).
-The point counts count its values line by line: the affine points off
-the origin lie on the lines (l, l t) and (0, l), and on a line of
-F-value v != 0 the equation l^n v = h has d = gcd(n, q - 1) solutions
-when v lies in the coset h (F_q^*)^d and none otherwise, so one
-membership test per value replaces a pass over the rows (_line_counts).
+The point counts count the values of g = h^-1 F (q not dividing h)
+line by line: the affine points off the origin lie on the lines
+(l, l t) and (0, l), and on a line of g-value w != 0 the equation
+l^n w = 1 has d = gcd(n, q - 1) solutions when w lies in the subgroup
+(F_q^*)^d and none otherwise, so one membership test per value replaces
+a pass over the rows (_line_counts).
 
 Results are plain values: primitive_solutions returns the tuple of
 solution pairs and residue_class_census the sorted tuple of classes.
@@ -111,33 +112,38 @@ def root_table(coeffs, h: int, q: int) -> list[list[int]]:
 
 
 def _line_counts(coeffs, h: int, q: int) -> tuple[int, int]:
-    """(affine, zeros) from one sweep of F(1, t), q prime: the points of
-    F(x, y) = h in F_q^2, and the points of F = 0 on the projective line,
-    (1:t) for F(1, t) = 0 plus (0:1) when q | c_n.
+    """(affine, zeros) from one sweep of F(1, t) or a multiple, q prime:
+    the points of F(x, y) = h in F_q^2, and the points of F = 0 on the
+    projective line, (1:t) for F(1, t) = 0 plus (0:1) when q | c_n.
 
     Every affine point other than the origin is (l, l t) or (0, l) for
     one l != 0, and F takes the value l^n v there, v = F(1, t) or c_n.
     For q | h a line of value 0 holds q - 1 points and any other line
-    none; the origin adds one.  Otherwise l^n = h / v has d = gcd(n,
-    q - 1) roots when v lies in the coset h (F_q^*)^d and none
-    otherwise.  For d = 1 that coset is all of F_q^*, so each of the
-    q + 1 lines that is not a zero of F holds one point.
+    none; the origin adds one.  Otherwise l^n = h / v = 1 / w, with w
+    the value of g = h^-1 F on the line, has d = gcd(n, q - 1) roots when
+    w lies in the subgroup D = (F_q^*)^d and none otherwise, so for d > 1
+    the sweep runs over g, whose zeros are those of F.  For d = 1, D is
+    all of F_q^*, so each of the q + 1 lines that is not a zero of F
+    holds one point.
     """
     n = len(coeffs) - 1
+    d = gcd(n, q - 1)
+    if h % q and d > 1:
+        h_inv = pow(h, -1, q)
+        coeffs = [c * h_inv % q for c in coeffs]
     values = _values(coeffs, q)
     top = coeffs[-1] % q
     zeros = values.count(0) + (top == 0)
     if h % q == 0:
         return 1 + (q - 1) * zeros, zeros
-    d = gcd(n, q - 1)
     if d == 1:
         return q + 1 - zeros, zeros
     # x and q - x have the same d-th power up to the sign (-1)^d, so half
-    # of F_q^* gives the coset, or half of it closed under negation
-    coset = {h * r % q for r in map(pow, range(1, (q + 1) // 2), repeat(d), repeat(q))}
+    # of F_q^* gives D, or half of it closed under negation
+    powers = set(map(pow, range(1, (q + 1) // 2), repeat(d), repeat(q)))
     if d % 2:
-        coset |= {q - v for v in coset}
-    lines = sum(map(coset.__contains__, values)) + (top in coset)
+        powers |= {q - v for v in powers}
+    lines = sum(map(powers.__contains__, values)) + (top in powers)
     return d * lines, zeros
 
 
@@ -207,7 +213,7 @@ def count_projective_smooth(instance: ThueInstance, p: int) -> int:
     affine, at_infinity = _line_counts(instance.form.coeffs, instance.h, p)
     count = affine + at_infinity
     g = instance.genus
-    if count > 0 and count > (n - 1) * (p + 1):
+    if count > (n - 1) * (p + 1):
         raise AssertionError("projective count exceeds the projection bound")
     if g is not None and (count - p - 1) ** 2 > 4 * g * g * p:
         raise AssertionError("projective count violates the Weil interval")

@@ -163,7 +163,7 @@ def dstar(shape: FormShape) -> Fraction:
         return Fraction(shape.lead)
     lc = shape.radical[-1]
     sign = -1 if (s * (s - 1) // 2) % 2 else 1
-    return Fraction(shape.lead) * sign * Fraction(shape.discriminant, lc ** (2 * s - 2))
+    return Fraction(sign * shape.lead * shape.discriminant, lc ** (2 * s - 2))
 
 
 def power_gcd(shape: FormShape, n: int) -> int:

@@ -64,10 +64,7 @@ def scale(f, c: int) -> IntPoly:
 
 def content(f) -> int:
     """gcd of the coefficients (0 for the zero polynomial)."""
-    g = 0
-    for c in f:
-        g = gcd(g, c)
-    return g
+    return gcd(*f)
 
 
 def primitive(f) -> IntPoly:
@@ -172,15 +169,22 @@ def discriminant(f) -> int:
 
 def _prem(a: list[int], b: list[int]) -> list[int]:
     """Pseudo-remainder of descending lists, deg a >= deg b >= 1: the
-    remainder of lc(b)^(deg a - deg b + 1) a by b, leading zeros dropped."""
-    lb, m = b[0], len(b)
-    r = a
-    for _ in range(len(a) - m + 1):
-        lr = r[0]
-        r = [lb * c - lr * d for c, d in zip(r[1:], b[1:])] + [lb * c for c in r[m:]]
-    while r and r[0] == 0:
-        r = r[1:]
-    return r
+    remainder of lc(b)^(deg a - deg b + 1) a by b, leading zeros dropped.
+
+    Each step clears the lead r[i] in place: the window r[i+1 .. i+m-1]
+    becomes lc(b) r - r[i] b, and the rest of r is scaled by lc(b)."""
+    lb, m, n = b[0], len(b), len(a)
+    r = list(a)
+    for i in range(n - m + 1):
+        lr = r[i]
+        for k in range(1, m):
+            r[i + k] = lb * r[i + k] - lr * b[k]
+        for k in range(i + m, n):
+            r[k] *= lb
+    i = n - m + 1
+    while i < n and r[i] == 0:
+        i += 1
+    return r[i:]
 
 
 def difference_resolvent(f) -> IntPoly:

@@ -360,6 +360,27 @@ def test_fermat_construct(capsys):
     assert json.loads(out)["twist"] == {"A": 1, "B": 1, "C": 9, "n": 3}
 
 
+def test_fermat_construct_past_the_integer_string_limit(capsys):
+    # C = 2^n + 1: 4215 digits at n = 14000, past Python's 4300 at 15000
+    argv = ["fermat", "construct", "--t1", "1,2,1", "--t2", "2,1,1"]
+    code, out = run(capsys, *argv, "--n", "14000")
+    assert (code, json.loads(out)["twist"]) == (0, {"A": 1, "B": 1, "C": 2**14000 + 1, "n": 14000})
+    assert main([*argv, "--n", "15000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: twist.C has more than 4300 decimal digits")
+
+
+def test_analyze_dstar_past_the_integer_string_limit(capsys):
+    # each coefficient has 2500 digits, within the input limit, but the
+    # numerator of d* has 5003
+    big, mid = "7" * 2500, "3" * 2500
+    assert main(["analyze", f"--F={big},{mid},{big},1", "--h", "1"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: rows.dstar has more than 4300 decimal digits")
+
+
 def test_fermat_orbit(capsys):
     code, out = run(capsys, "fermat", "orbit", "--t", "1,2,1", "--n", "4")
     assert code == 0
