@@ -13,7 +13,9 @@ The commands parse input, fill in defaults and format what the library
 returns.  Instances come inline (--F coefficients, --h) or from a
 JSON-lines corpus file {"coeffs": [...], "h": ...} of JSON integers.
 Reports are deterministic for a fixed configuration: no timestamps,
-stable ordering.
+stable ordering.  CSV columns come from one table, _CSV_COLUMNS: each
+row command writes its own fixed header, then one record per row, bound
+entry, solution or check, with an empty cell for each absent value.
 Exit codes: 0 no check failed, 2 some check failed, 3 input error.
 """
 
@@ -213,15 +215,6 @@ def cmd_verify(args) -> tuple[dict, int]:
     return _payload("verify", rows)
 
 
-# the options each fermat verb reads, (required, optional); no two verbs
-# share one, and --n and --out are common to all three
-_FERMAT_OPTIONS = {
-    "construct": (("t1", "t2"), ()),
-    "check": (("A", "B", "C", "p"), ("box", "hypothesis")),
-    "orbit": (("t",), ("symmetric",)),
-}
-
-
 def _parse_triple(text: str) -> fm.SolutionTriple:
     values = _parse_ints(text)
     if len(values) != 3:
@@ -230,16 +223,19 @@ def _parse_triple(text: str) -> fm.SolutionTriple:
 
 
 def cmd_fermat(args) -> tuple[dict, int]:
-    required, optional = _FERMAT_OPTIONS[args.verb]
-    missing = [f"--{k}" for k in required if getattr(args, k) is None]
+    missing = [
+        f"--{k}"
+        for k, (verb, required, _) in _FERMAT_OPTIONS.items()
+        if verb == args.verb and required and getattr(args, k) is None
+    ]
     if missing:
         raise InputError(f"fermat {args.verb} requires {', '.join(missing)}")
     unread = [
         f"--{k}"
-        for verb, (req, opt) in _FERMAT_OPTIONS.items()
-        if verb != args.verb
-        for k in req + opt
-        if getattr(args, k) not in (None, False)
+        for other in _FERMAT_VERBS
+        if other != args.verb
+        for k, (verb, _, _) in _FERMAT_OPTIONS.items()
+        if verb == other and getattr(args, k) not in (None, False)
     ]
     if unread:
         raise InputError(f"fermat {args.verb} does not take {', '.join(unread)}")
@@ -303,26 +299,53 @@ def _too_long(value, name: str = "") -> str | None:
     return next(filter(None, found), None)
 
 
+# each row command's CSV header; a new column goes last
+_CSV_COLUMNS = {
+    "analyze": (
+        "instance", "n", "content_removed", "s", "multiplicities", "degree_deficit",
+        "genus", "dstar", "irreducible", "bertrand_prime", "case_at_bertrand",
+        "case_at_override", "warning", "error",
+    ),
+    "bound": (
+        "instance", "p", "case", "name", "quantity", "exact", "floor", "hypothesis",
+        "conditional", "error",
+    ),
+    "verify": (
+        "instance", "box", "count", "x", "y", "kind", "check", "status", "detail", "error",
+    ),
+}
+
+
+def _csv_items(command: str, row: dict) -> list[dict]:
+    """What a row adds to each of its CSV records: one per bound entry,
+    or per solution and then per check; an error row writes one record."""
+    if command == "bound":
+        items = [
+            {"p": rep["p"], "case": rep["case"], **e}
+            for rep in row.get("reports", ())
+            for e in rep["entries"]
+        ]
+    elif command == "verify":
+        items = [{"kind": "solution", "x": x, "y": y} for x, y in row.get("solutions", ())]
+        items += [{"kind": "check", **c} for c in row.get("checks", ())]
+    else:
+        items = []
+    return items or [{}]
+
+
 def _format(payload: dict, fmt: str) -> str:
     if fmt == "json":
         # d* is a Fraction, written as its str
         return json.dumps(payload, indent=2, sort_keys=True, default=str)
     if fmt == "csv":
+        columns = _CSV_COLUMNS[payload["command"]]
         buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        for row in payload.get("rows", []):
-            if "reports" in row:
-                for rep in row["reports"]:
-                    for e in rep["entries"]:
-                        writer.writerow(
-                            [row["instance"], rep["p"], rep["case"], e["name"],
-                             e["quantity"], e["exact"], e["floor"], row["hypothesis"]]
-                        )
-            elif "solutions" in row:
-                for x, y in row["solutions"]:
-                    writer.writerow([row["instance"], row["box"], row["count"], x, y])
-            else:
-                writer.writerow([str(v) for v in row.values()])
+        writer = csv.DictWriter(buf, columns, lineterminator="\n")
+        writer.writeheader()
+        for row in payload["rows"]:
+            for item in _csv_items(payload["command"], row):
+                record = {**row, **item}
+                writer.writerow({c: record.get(c) for c in columns})
         return buf.getvalue().removesuffix("\n")
     return _render_text(payload)
 
@@ -359,6 +382,26 @@ def _positive_int(text: str) -> int:
     return value
 
 
+# the fermat verbs, in the order an error names other verbs' options
+_FERMAT_VERBS = ("construct", "check", "orbit")
+# every fermat option in parser order: (the verb that reads it, None for
+# all three; whether that verb requires it; its argparse keywords)
+_FERMAT_OPTIONS = {
+    "t1": ("construct", True, {}),
+    "t2": ("construct", True, {}),
+    "t": ("orbit", True, {}),
+    "n": (None, True, {"type": int, "required": True}),
+    "A": ("check", True, {"type": int}),
+    "B": ("check", True, {"type": int}),
+    "C": ("check", True, {"type": int}),
+    "p": ("check", True, {"type": int}),
+    "box": ("check", False, {"type": _positive_int}),
+    "symmetric": ("orbit", False, {"action": "store_true"}),
+    "hypothesis": ("check", False, {}),
+    "out": (None, False, {}),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(prog="thuecc", description="Thue equation bound toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True)
@@ -381,20 +424,26 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--hypothesis", help="kind[:value], e.g. mw_rank_value:1")
 
     fp = sub.add_parser("fermat")
-    fp.add_argument("verb", choices=["construct", "check", "orbit"])
-    fp.add_argument("--t1")
-    fp.add_argument("--t2")
-    fp.add_argument("--t")
-    fp.add_argument("--n", type=int, required=True)
-    fp.add_argument("--A", type=int)
-    fp.add_argument("--B", type=int)
-    fp.add_argument("--C", type=int)
-    fp.add_argument("--p", type=int)
-    fp.add_argument("--box", type=_positive_int)
-    fp.add_argument("--symmetric", action="store_true")
-    fp.add_argument("--hypothesis")
-    fp.add_argument("--out")
+    fp.add_argument("verb", choices=_FERMAT_VERBS)
+    for k, (_, _, keywords) in _FERMAT_OPTIONS.items():
+        fp.add_argument(f"--{k}", **keywords)
     return parser
+
+
+# list options whose value may start with a minus sign
+_LIST_OPTIONS = ("--F", "--t", "--t1", "--t2")
+
+
+def _join_negative_lists(argv: list[str]) -> list[str]:
+    """argv with `--F -1,2` written as `--F=-1,2`: argparse takes a value
+    that starts with `-` and is not a plain number for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in _LIST_OPTIONS and arg[:1] == "-" and arg[1:2].isdigit():
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def main(argv=None) -> int:
@@ -405,7 +454,9 @@ def main(argv=None) -> int:
         "fermat": cmd_fermat,
     }
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(
+            _join_negative_lists(sys.argv[1:] if argv is None else argv)
+        )
         payload, code = handlers[args.cmd](args)
         _emit(payload, args)
     except (

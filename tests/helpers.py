@@ -4,10 +4,12 @@ resultants, products over root differences, factoring over Q, sympy's
 discriminant and squarefree split, the jacobian decomposition under the
 order-n automorphism, the swapped form, v_p(F(a, b)) from a valuation
 profile, a bound report's entry by name, Fermat-twist scaling orbits
-materialized over a finite field)."""
+materialized over a finite field, the records of a CSV report)."""
 
 from __future__ import annotations
 
+import csv
+import io
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -360,3 +362,16 @@ def materialize_orbit(
             for b in range(n):
                 pts.add((pow(xi, a, q) * rx % q, pow(xi, b, q) * ry % q))
     return pts
+
+
+def csv_records(text: str) -> tuple[list[str], list[dict]]:
+    """The header and records of a CLI CSV report.  Each record holds
+    exactly the header's fields: no surplus cell (DictReader's restkey
+    None), no missing one (its restval None) and no blank line."""
+    assert [] not in list(csv.reader(io.StringIO(text))), text
+    reader = csv.DictReader(io.StringIO(text))
+    records = list(reader)
+    assert reader.fieldnames, text
+    for record in records:
+        assert list(record) == reader.fieldnames and None not in record.values(), record
+    return reader.fieldnames, records

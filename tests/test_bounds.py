@@ -295,21 +295,20 @@ def test_csv_rows(capsys):
          "--hypothesis", "chabauty_lt_g", "--format", "csv"]
     )
     assert code == 0
-    rows = capsys.readouterr().out.strip().splitlines()
-    # main_bounds gives case_a and global_cubic; the n = p - 1 block adds
-    # pm1_local and pm1_rational
-    assert len(rows) == 4
-    # instance, p, case, name, quantity, exact, floor, hypothesis
-    assert rows[0].count(",") == 7
-    assert rows[0] == (
-        "F=[1 0 0 0 1];h=17,5,a,case_a,|X(Q)|,29,29,Chabauty rank < g [cli flag]"
+    lines = capsys.readouterr().out.strip().splitlines()
+    # a header, then main_bounds gives case_a and global_cubic; the
+    # n = p - 1 block adds pm1_local and pm1_rational
+    assert len(lines) == 5
+    assert lines[0] == "instance,p,case,name,quantity,exact,floor,hypothesis,conditional,error"
+    assert lines[1] == (
+        "F=[1 0 0 0 1];h=17,5,a,case_a,|X(Q)|,29,29,Chabauty rank < g [cli flag],False,"
     )
     # quantities such as N(F,h,Q,p) contain commas and must be quoted
     assert cli.main(["bound", "--F", "1,0,0,0,1", "--h", "17", "--format", "csv"]) == 0
     parsed = list(csv.reader(io.StringIO(capsys.readouterr().out)))
-    assert len(parsed) == 4
-    assert all(len(row) == 8 for row in parsed)
-    assert {row[4] for row in parsed} == {"|X(Q)|", "N(F,h)", "N(F,h,Q,p)"}
+    assert len(parsed) == 5
+    assert all(len(row) == 10 for row in parsed)
+    assert {row[4] for row in parsed[1:]} == {"|X(Q)|", "N(F,h)", "N(F,h,Q,p)"}
 
 
 def test_refined_bounds_by_degree():

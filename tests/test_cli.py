@@ -4,6 +4,7 @@ import time
 from pathlib import Path
 
 import pytest
+from helpers import csv_records
 
 import thuecc.charts
 from thuecc.cli import main
@@ -121,16 +122,179 @@ def test_verify_passes(capsys):
     assert all(c["status"] == "ok" for c in row["checks"])
 
 
+VERIFY_COLUMNS = ["instance", "box", "count", "x", "y", "kind", "check", "status", "detail", "error"]
+
+
 def test_verify_csv_format(capsys):
-    code, out = run(
-        capsys,
-        "verify", "--F", "1,0,0,0,1", "--h", "17", "--box", "20",
-        "--format", "csv",
-    )
+    argv = ["verify", "--F", "1,0,0,0,1", "--h", "17", "--box", "20"]
+    code, out = run(capsys, *argv, "--format", "csv")
     assert code == 0
-    lines = [l for l in out.strip().splitlines() if l]
-    assert len(lines) == 8
-    assert lines[0].endswith(",-2,-1")
+    header, records = csv_records(out)
+    assert header == VERIFY_COLUMNS
+    solutions = [r for r in records if r["kind"] == "solution"]
+    assert len(solutions) == 8
+    assert (solutions[0]["x"], solutions[0]["y"]) == ("-2", "-1")
+    assert {(r["count"], r["box"]) for r in records} == {("8", "20")}
+    # then one record per check, in the order of the JSON report
+    checks = json.loads(run(capsys, *argv)[1])["rows"][0]["checks"]
+    assert records[8:] == [
+        {**dict.fromkeys(VERIFY_COLUMNS, ""), "instance": "F=[1 0 0 0 1];h=17", "box": "20",
+         "count": "8", "kind": "check", **c}
+        for c in checks
+    ]
+
+
+def test_verify_csv_writes_every_check(tmp_path, capsys, monkeypatch):
+    """An empty box, a skipped check, a failed check and an error row
+    each appear in CSV."""
+    code, out = run(capsys, "verify", "--F", "1,0,0,0,1", "--h", "3", "--box", "5",
+                    "--format", "csv")
+    assert code == 0
+    _, records = csv_records(out)
+    assert {r["kind"] for r in records} == {"check"}
+    assert {r["count"] for r in records} == {"0"}
+    statuses = {r["check"]: r["status"] for r in records}
+    assert statuses["charts"] == "skipped"
+    assert statuses["count_le_case_a"] == "skipped"
+    monkeypatch.setattr(thuecc.charts, "verify_w_equals_um", lambda chart: False)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        json.dumps({"coeffs": [1, 0, -2, 0, 1], "h": 1}) + "\n"
+        + json.dumps({"coeffs": [1, 0, 0, 0, 1], "h": 17}) + "\n"
+    )
+    code, out = run(capsys, "verify", "--corpus", str(corpus), "--box", "100",
+                    "--format", "csv")
+    assert code == 2
+    _, records = csv_records(out)
+    assert records[0]["error"] == "reducible model"
+    assert records[0]["kind"] == records[0]["count"] == ""
+    assert {(r["check"], r["status"]) for r in records if r["kind"] == "check"} >= {
+        ("w_equals_um(1,2)", "fail")
+    }
+
+
+def test_analyze_csv_has_one_column_set(tmp_path, capsys):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        json.dumps({"coeffs": [1, 0, 0, 0, 1], "h": 17}) + "\n"
+        + json.dumps({"coeffs": [2, 0, 0, 0, 2], "h": 34}) + "\n"
+        + json.dumps({"coeffs": [1, 0, 2, 0, 1], "h": 3}) + "\n"
+    )
+    code, out = run(capsys, "analyze", "--corpus", str(corpus), "--format", "csv")
+    assert code == 3  # the reducible row
+    header, records = csv_records(out)
+    assert out.count("instance,") == 1
+    assert header[9] == "bertrand_prime"
+    assert [r["bertrand_prime"] for r in records] == ["5", "5", ""]
+    assert [r["content_removed"] for r in records] == ["1", "2", "1"]
+    assert records[0]["warning"] == "" and records[1]["warning"].startswith("form had content 2")
+    assert records[2]["genus"] == ""  # None is an empty cell
+    assert records[2]["error"].startswith("model is reducible")
+    code, out = run(capsys, "analyze", "--F", "1,0,0,0,1", "--h", "17", "--p", "17",
+                    "--format", "csv")
+    assert (code, csv_records(out)[1][0]["case_at_override"]) == (0, "b")
+
+
+def test_bound_csv_carries_conditional_and_errors(capsys):
+    instance = ["--F", "1,0,0,0,1", "--h", "17"]
+    for hypothesis, conditional in ((["--hypothesis", "chabauty_lt_g"], "False"), ([], "True")):
+        code, out = run(capsys, "bound", *instance, *hypothesis, "--format", "csv")
+        _, records = csv_records(out)
+        case_a = next(r for r in records if r["name"] == "case_a")
+        assert (code, case_a["floor"], case_a["conditional"]) == (0, "29", conditional)
+    code, out = run(capsys, "bound", "--F", "0,0,0,1", "--h", "5", "--format", "csv")
+    assert code == 3
+    assert csv_records(out)[1] == [
+        {"instance": "F=[0 0 0 1];h=5", "p": "", "case": "", "name": "", "quantity": "",
+         "exact": "", "floor": "", "hypothesis": "", "conditional": "", "error": "reducible model"}
+    ]
+
+
+def scalar_keys(value) -> set[str]:
+    """The keys of a JSON row, and of the dicts in its lists, that hold a
+    scalar; chart ledgers are JSON-only and are not walked."""
+    if isinstance(value, list):
+        return set().union(*map(scalar_keys, value))
+    if not isinstance(value, dict):
+        return set()
+    keys = set()
+    for k, v in value.items():
+        if k != "charts":
+            keys |= scalar_keys(v) if isinstance(v, (dict, list)) else {k}
+    return keys
+
+
+def test_csv_header_covers_every_json_key(capsys):
+    """The CSV schema cannot drift from the payload: every scalar key of a
+    JSON row or entry is a column of that command's CSV header, and CSV
+    writes one record per row, bound entry, solution or check."""
+    rng = random.Random(20261020)
+    calls = [
+        ["analyze", "--F=2,0,0,0,2", "--h", "34"],  # content 2
+        ["bound", "--F=3,0,3", "--h", "12"],
+        ["verify", "--F=1,0,2,0,1", "--h", "3", "--box", "5"],  # reducible
+        ["analyze", "--F=1,0,0,0,1", "--h", "17", "--p", "7"],  # --p override
+        ["verify", "--F=1,0,0,0,1", "--h", "3", "--box", "5"],  # empty box
+    ]
+    for _ in range(60):
+        n = rng.randint(2, 6)
+        content = rng.choice([1, 1, 2, 3])
+        coeffs = [content * rng.randint(-5, 5) for _ in range(n + 1)]
+        cmd = rng.choice(["analyze", "bound", "verify"])
+        argv = [cmd, "--F=" + ",".join(map(str, coeffs)), "--h", str(content * rng.randint(-40, 40))]
+        if rng.random() < 0.3:
+            argv += ["--p", str(rng.choice([5, 7, 11, 13]))]
+        if cmd == "verify":
+            argv += ["--box", str(rng.randint(1, 10))]
+        calls.append(argv)
+    seen = set()
+    for argv in calls:
+        code, out = run(capsys, *argv)
+        csv_code, csv_out = run(capsys, *argv, "--format", "csv")
+        assert csv_code == code, argv
+        if not out:
+            continue
+        rows = json.loads(out)["rows"]
+        header, records = csv_records(csv_out)
+        assert scalar_keys(rows) <= set(header), argv
+        items = [  # bound entries, or solutions and checks; else the row
+            sum(len(rep["entries"]) for rep in r.get("reports", ()))
+            + r.get("count", 0) + len(r.get("checks", ()))
+            for r in rows
+        ]
+        assert len(records) == sum(max(k, 1) for k in items), argv
+        row = rows[0]
+        seen |= {
+            "content" if row.get("content_removed", 1) > 1 else "",
+            "reducible" if "error" in row else "",
+            "override" if "case_at_override" in row else "",
+            "empty box" if row.get("count") == 0 else "",
+        }
+    assert seen >= {"content", "reducible", "override", "empty box"}
+
+
+def test_list_values_may_start_with_a_minus_sign(capsys):
+    """`--F -1,2,3,4` is `--F=-1,2,3,4`, byte for byte and exit code; so
+    for --t, --t1 and --t2."""
+    cases = [
+        (["verify", "--h", "5"], "--F", "-1,2,3,4"),
+        (["analyze", "--h", "17", "--format", "csv"], "--F", "-1,0,0,0,1"),
+        (["fermat", "orbit", "--n", "3"], "--t", "-1,2,1"),
+        (["fermat", "construct", "--t2", "2,1,1", "--n", "3"], "--t1", "-1,2,1"),
+        (["fermat", "construct", "--t1", "1,2,1", "--n", "3"], "--t2", "-2,1,1"),
+        (["fermat", "check", "--A", "1", "--B", "1", "--C", "17", "--n", "4", "--p", "5"],
+         "--t", "-1,2,1"),  # another verb's option, named in the error
+    ]
+    for rest, flag, value in cases:
+        spaced, joined = [
+            (main([*rest, *given]), capsys.readouterr())
+            for given in ([flag, value], [f"{flag}={value}"])
+        ]
+        assert spaced == joined, (rest, flag)
+        assert spaced[1].out or "does not take --t" in spaced[1].err, (rest, flag)
+    # only a minus sign followed by a digit: -x still reads as an option
+    assert main(["verify", "--F", "-x", "--h", "17"]) == 3
+    assert "expected one argument" in capsys.readouterr().err
 
 
 def test_verify_deterministic(capsys):
@@ -235,7 +399,7 @@ def test_input_errors(tmp_path, capsys):
     ]
     # usage errors are input errors, not the exit 2 of a failed check
     assert main(["analyze", "--F", "1,0,0,0,1", "--h", "17", "--bogus"]) == 3
-    assert main(["verify", "--F", "-1,0,0,0,1", "--h", "17"]) == 3  # needs --F=-1,...
+    assert main(["verify", "--F", "-x", "--h", "17"]) == 3  # a value read as an option
     assert main(["analyze"]) == 3
     # boxes below 1 are rejected, not scanned as empty or replaced by the default
     assert main(["verify", "--F", "1,0,0,0,1", "--h", "17", "--box", "-5"]) == 3
@@ -321,6 +485,12 @@ def test_random_argv_exits_cleanly(capsys):
             checks = [c["status"] for r in rows for c in r["checks"]]
             assert set(checks) <= {"ok", "fail", "skipped"}, argv
             assert (code == 2) == ("fail" in checks), argv
+        # the same call in CSV: the same exit code, and well-formed records
+        assert main(argv + ["--format", "csv"]) == code, argv
+        csv_out = capsys.readouterr().out
+        assert bool(csv_out) == bool(out), argv
+        if csv_out:
+            csv_records(csv_out)
     assert exited_ok == {"analyze", "bound", "verify"}
     # fermat verbs: malformed triples, n and p outside their range
     triples = ["1,2,1", "2,1,1", "1,1,1", "0,0,0", "3,-2,5", "1,2", "1,2,3,4",

@@ -12,6 +12,7 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
+from helpers import csv_records
 
 from thuecc.cli import main
 
@@ -89,6 +90,13 @@ def test_golden_output(index):
     got = run(golden["argv"])
     assert got["exit"] == golden["exit"]
     assert got["stdout"] == golden["stdout"]
+
+
+def test_golden_csv_records_fill_their_header():
+    csv_cases = [g for g in json.loads(GOLDEN.read_text()) if "csv" in g["argv"]]
+    assert len(csv_cases) == 3
+    for golden in csv_cases:
+        csv_records(golden["stdout"])
 
 
 if __name__ == "__main__":
