@@ -11,7 +11,11 @@ Two prime moduli q1 < q2 whose product exceeds the box diameter give
 the candidate y by CRT; a third prime q3 > q2 drops the candidates that
 are not roots mod q3 before the exact check.  None of the three divides
 h.  A column x whose row of roots is empty mod q1, q2 or q3 holds no
-solution and is skipped before any candidate is built.
+solution.  The columns are taken in blocks of at most _BLOCK; in each
+block the 0/1 pattern of non-empty rows of each table, tiled from the
+block's first column, is read as an integer, and the AND of the three
+is the block's bitmask of live columns, so only those are visited in
+Python and memory stays O(q + _BLOCK).
 
 Every evaluation of a binary form over F_q (the sieve tables, the
 affine and projective point counts) goes through one kernel, _values,
@@ -34,12 +38,16 @@ solution pairs and residue_class_census the sorted tuple of classes.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from itertools import accumulate, islice, repeat
+from itertools import accumulate, compress, islice, repeat
 from math import gcd, isqrt
 
 from thuecc import polyutil
 from thuecc.forms import BinaryForm, ThueInstance
 from thuecc.padic import SolutionValuationProfile, TrackedRoots
+
+
+# the most columns one bitmask of live columns covers
+_BLOCK = 1 << 16
 
 
 def default_box(n: int) -> int:
@@ -50,37 +58,52 @@ def scan_stripe(
     instance: ThueInstance, box: int, x_lo: int, x_hi: int
 ) -> list[tuple[int, int]]:
     """Primitive solutions with x in [x_lo, x_hi] and |y| <= box, in
-    lexicographic order.  A column x is skipped when F(x, y) = h has no
-    root y mod q1, mod q2 or mod q3.  Otherwise the y that are roots
-    both mod q1 and mod q2 (q1 q2 > 2 box + 1) are lifted by CRT, and
-    only those that are also roots mod q3 are tested exactly."""
+    lexicographic order (none when x_hi < x_lo).  A column x is live
+    when F(x, y) = h has a root y mod q1, mod q2 and mod q3; the live
+    columns come from one bitmask per block of at most _BLOCK columns.
+    In a live column the y that are roots both mod q1 and mod q2
+    (q1 q2 > 2 box + 1) are lifted by CRT, and only those that are also
+    roots mod q3 are tested exactly."""
     form, h = instance.form, instance.h
     out: list[tuple[int, int]] = []
     q1, q2, q3 = _filter_primes(h, box)
     t1 = root_table(form.coeffs, h, q1)
     t2 = root_table(form.coeffs, h, q2)
     t3 = root_table(form.coeffs, h, q3)
+    rows = [bytes(map(bool, t)) for t in (t1, t2, t3)]
     m = q1 * q2
     c1 = q2 * pow(q2, -1, q1)  # CRT basis: 1 mod q1, 0 mod q2
     c2 = q1 * pow(q1, -1, q2)
-    for x in range(x_lo, x_hi + 1):
-        rs1 = t1[x % q1]
-        rs2 = t2[x % q2]
-        rs3 = t3[x % q3]
-        if not rs1 or not rs2 or not rs3:
-            continue
-        cands = set()
-        for r1 in rs1:
-            for r2 in rs2:
-                y0 = (r1 * c1 + r2 * c2) % m
-                if y0 <= box:
-                    cands.add(y0)
-                if y0 - m >= -box:
-                    cands.add(y0 - m)
-        for y in sorted(cands):
-            if y % q3 in rs3 and gcd(x, y) == 1 and form(x, y) == h:
-                out.append((x, y))
+    for lo in range(x_lo, x_hi + 1, _BLOCK):
+        hi = min(lo + _BLOCK - 1, x_hi)
+        width = hi - lo + 1
+        live = -1
+        for row in rows:
+            live &= int.from_bytes(_tile(row, lo, width), "little")
+        for x in compress(range(lo, hi + 1), live.to_bytes(width, "little")):
+            rs1 = t1[x % q1]
+            rs2 = t2[x % q2]
+            rs3 = t3[x % q3]
+            cands = set()
+            for r1 in rs1:
+                for r2 in rs2:
+                    y0 = (r1 * c1 + r2 * c2) % m
+                    if y0 <= box:
+                        cands.add(y0)
+                    if y0 - m >= -box:
+                        cands.add(y0 - m)
+            for y in sorted(cands):
+                if y % q3 in rs3 and gcd(x, y) == 1 and form(x, y) == h:
+                    out.append((x, y))
     return out
+
+
+def _tile(row: bytes, lo: int, width: int) -> bytes:
+    """The pattern row, one byte per residue mod q = len(row), repeated
+    over the columns lo, lo + 1, ..., lo + width - 1."""
+    q = len(row)
+    start = lo % q
+    return ((row[start:] + row[:start]) * (width // q + 1))[:width]
 
 
 def _filter_primes(h: int, box: int) -> tuple[int, int, int]:

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from collections import Counter
 from math import gcd, isqrt, prod
 from pathlib import Path
@@ -10,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import form_value, product_form, random_form, random_tracked_instance
+from thuecc import enumerate as enum
 from thuecc import polyutil
 from thuecc.bounds import classify_prime
 from thuecc.enumerate import (
@@ -171,6 +173,43 @@ def test_stripe_window_matches_brute_property(case, data):
     x_hi = data.draw(st.one_of(st.just(x_lo), st.integers(x_lo, box)), label="x_hi")
     expect = [(x, y) for x, y in brute_solutions(inst, box) if x_lo <= x <= x_hi]
     assert scan_stripe(inst, box, x_lo, x_hi) == expect
+
+
+@given(mirror_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_stripe_blocks_match_brute_property(case, data):
+    # blocks of 1-13 columns, so that a window crosses several block
+    # boundaries and each block starts at many offsets mod q1, q2 and q3
+    inst, box = mirror_instance(case)
+    block = data.draw(st.integers(1, 13), label="block")
+    x_lo = data.draw(st.integers(-box, box), label="x_lo")
+    x_hi = data.draw(st.one_of(st.just(x_lo), st.integers(x_lo, box)), label="x_hi")
+    expect = [(x, y) for x, y in brute_solutions(inst, box) if x_lo <= x <= x_hi]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enum, "_BLOCK", block)
+        assert scan_stripe(inst, box, x_lo, x_hi) == expect
+
+
+def test_reversed_stripe_is_empty():
+    inst = ThueInstance.build(BinaryForm.from_coeffs([1, 0, 0, 0, 1]), 17)
+    assert scan_stripe(inst, 10, 2, 2) == [(2, -1), (2, 1)]
+    assert scan_stripe(inst, 10, 3, 2) == []
+    assert scan_stripe(inst, 10, 5, 2) == []
+    assert scan_stripe(inst, 10, 10, -10) == []
+
+
+def test_stripe_scan_memory_is_bounded_per_block():
+    # the live-column masks cover one block at a time: one mask over the
+    # whole stripe would take several MB at this box
+    inst = ThueInstance.build(BinaryForm.from_coeffs([1, 0, 0, 0, 1]), 17)
+    tracemalloc.start()
+    try:
+        found = scan_stripe(inst, 10**6, 0, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == [(1, -2), (1, 2), (2, -1), (2, 1)]
+    assert peak < 2 * 2**20
 
 
 @st.composite
