@@ -357,6 +357,11 @@ def _render_text(payload: dict) -> str:
         for key in ("error", "genus", "count"):
             if key in row:
                 lines.append(f"    {key}: {row[key]}")
+        for r in row.get("reports", []):
+            lines.append(f"    p={r['p']} case={r['case']}")
+            for e in r["entries"]:
+                kind = "conditional" if e["conditional"] else "unconditional"
+                lines.append(f"      {e['name']}: {e['quantity']} <= {e['floor']} [{kind}]")
         for c in row.get("checks", []):
             mark = "FAIL" if c["status"] == "fail" else c["status"]
             lines.append(f"    [{mark}] {c['check']}: {c['detail']}")

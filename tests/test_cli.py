@@ -210,6 +210,25 @@ def test_bound_csv_carries_conditional_and_errors(capsys):
     ]
 
 
+def test_bound_text_lists_every_entry(capsys):
+    """Text gives, under each instance, each report's p and case and one
+    line per entry, in the order and with the values of the JSON."""
+    for instance in (["--F", "1,0,0,0,1", "--h", "17"], ["--F", "1,0,0,0,0,2", "--h", "7"]):
+        for hypothesis in (["--hypothesis", "chabauty_lt_g"], []):
+            _, out = run(capsys, "bound", *instance, *hypothesis)
+            row = json.loads(out)["rows"][0]
+            expect = ["bound", f"- {row['instance']}"]
+            for rep in row["reports"]:
+                expect.append(f"    p={rep['p']} case={rep['case']}")
+                for e in rep["entries"]:
+                    kind = "conditional" if e["conditional"] else "unconditional"
+                    expect.append(f"      {e['name']}: {e['quantity']} <= {e['floor']} [{kind}]")
+            code, out = run(capsys, "bound", *instance, *hypothesis, "--format", "text")
+            assert (code, out) == (0, "\n".join(expect) + "\n")
+    code, out = run(capsys, "bound", "--F", "0,0,0,1", "--h", "5", "--format", "text")
+    assert (code, out) == (3, "bound\n- F=[0 0 0 1];h=5\n    error: reducible model\n")
+
+
 def scalar_keys(value) -> set[str]:
     """The keys of a JSON row, and of the dicts in its lists, that hold a
     scalar; chart ledgers are JSON-only and are not walked."""
