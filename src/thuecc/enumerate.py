@@ -70,7 +70,7 @@ def scan_stripe(
     t1 = root_table(form.coeffs, h, q1)
     t2 = root_table(form.coeffs, h, q2)
     t3 = root_table(form.coeffs, h, q3)
-    rows = [bytes(map(bool, t)) for t in (t1, t2, t3)]
+    nonempty = [bytes(map(bool, t)) for t in (t1, t2, t3)]
     m = q1 * q2
     c1 = q2 * pow(q2, -1, q1)  # CRT basis: 1 mod q1, 0 mod q2
     c2 = q1 * pow(q1, -1, q2)
@@ -78,8 +78,8 @@ def scan_stripe(
         hi = min(lo + _BLOCK - 1, x_hi)
         width = hi - lo + 1
         live = -1
-        for row in rows:
-            live &= int.from_bytes(_tile(row, lo, width), "little")
+        for pattern in nonempty:
+            live &= int.from_bytes(_tile(pattern, lo, width), "little")
         for x in compress(range(lo, hi + 1), live.to_bytes(width, "little")):
             rs1 = t1[x % q1]
             rs2 = t2[x % q2]
@@ -98,12 +98,12 @@ def scan_stripe(
     return out
 
 
-def _tile(row: bytes, lo: int, width: int) -> bytes:
-    """The pattern row, one byte per residue mod q = len(row), repeated
-    over the columns lo, lo + 1, ..., lo + width - 1."""
-    q = len(row)
+def _tile(pattern: bytes, lo: int, width: int) -> bytes:
+    """pattern, one byte per residue mod q = len(pattern), repeated over
+    the columns lo, lo + 1, ..., lo + width - 1."""
+    q = len(pattern)
     start = lo % q
-    return ((row[start:] + row[:start]) * (width // q + 1))[:width]
+    return ((pattern[start:] + pattern[:start]) * (width // q + 1))[:width]
 
 
 def _filter_primes(h: int, box: int) -> tuple[int, int, int]:

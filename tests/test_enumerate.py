@@ -163,15 +163,21 @@ def test_even_degree_stripes_mirror(case):
     assert negative == [(-x, -y) for x, y in reversed(positive)]
 
 
-@given(mirror_cases(), st.data())
-@settings(max_examples=150, deadline=None)
-def test_stripe_window_matches_brute_property(case, data):
-    # any window of columns in the box: one column wide or wider, and for
-    # even n also the x < 0 that primitive_solutions never scans
+def window_case(case, data):
+    """(instance, box, x_lo, x_hi, the brute-force solutions in the
+    window): any window of columns in the box, one column wide or wider,
+    and for even n also the x < 0 that primitive_solutions never scans."""
     inst, box = mirror_instance(case)
     x_lo = data.draw(st.integers(-box, box), label="x_lo")
     x_hi = data.draw(st.one_of(st.just(x_lo), st.integers(x_lo, box)), label="x_hi")
     expect = [(x, y) for x, y in brute_solutions(inst, box) if x_lo <= x <= x_hi]
+    return inst, box, x_lo, x_hi, expect
+
+
+@given(mirror_cases(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_stripe_window_matches_brute_property(case, data):
+    inst, box, x_lo, x_hi, expect = window_case(case, data)
     assert scan_stripe(inst, box, x_lo, x_hi) == expect
 
 
@@ -180,11 +186,8 @@ def test_stripe_window_matches_brute_property(case, data):
 def test_stripe_blocks_match_brute_property(case, data):
     # blocks of 1-13 columns, so that a window crosses several block
     # boundaries and each block starts at many offsets mod q1, q2 and q3
-    inst, box = mirror_instance(case)
+    inst, box, x_lo, x_hi, expect = window_case(case, data)
     block = data.draw(st.integers(1, 13), label="block")
-    x_lo = data.draw(st.integers(-box, box), label="x_lo")
-    x_hi = data.draw(st.one_of(st.just(x_lo), st.integers(x_lo, box)), label="x_hi")
-    expect = [(x, y) for x, y in brute_solutions(inst, box) if x_lo <= x <= x_hi]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enum, "_BLOCK", block)
         assert scan_stripe(inst, box, x_lo, x_hi) == expect
