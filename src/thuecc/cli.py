@@ -13,9 +13,10 @@ The commands parse input, fill in defaults and format what the library
 returns.  Instances come inline (--F coefficients, --h) or from a
 JSON-lines corpus file {"coeffs": [...], "h": ...} of JSON integers.
 Reports are deterministic for a fixed configuration: no timestamps,
-stable ordering.  CSV columns come from one table, _CSV_COLUMNS: each
-row command writes its own fixed header, then one record per row, bound
-entry, solution or check, with an empty cell for each absent value.
+stable ordering.  One table, _COLUMNS, gives each row command's CSV and
+text columns.  CSV writes one record per row, bound entry, solution or
+check, with an empty cell for each absent value; text writes a row's set
+columns as `key: value` and each item as one line of `key=value` cells.
 Exit codes: 0 no check failed, 2 some check failed, 3 input error.
 """
 
@@ -299,8 +300,8 @@ def _too_long(value, name: str = "") -> str | None:
     return next(filter(None, found), None)
 
 
-# each row command's CSV header; a new column goes last
-_CSV_COLUMNS = {
+# each row command's columns, in CSV and text; a new column goes last
+_COLUMNS = {
     "analyze": (
         "instance", "n", "content_removed", "s", "multiplicities", "degree_deficit",
         "genus", "dstar", "irreducible", "bertrand_prime", "case_at_bertrand",
@@ -316,9 +317,9 @@ _CSV_COLUMNS = {
 }
 
 
-def _csv_items(command: str, row: dict) -> list[dict]:
-    """What a row adds to each of its CSV records: one per bound entry,
-    or per solution and then per check; an error row writes one record."""
+def _items(command: str, row: dict) -> list[dict]:
+    """What a row adds to each CSV record or text item line: one per bound
+    entry, or per solution and then per check; else one empty item."""
     if command == "bound":
         items = [
             {"p": rep["p"], "case": rep["case"], **e}
@@ -337,34 +338,32 @@ def _format(payload: dict, fmt: str) -> str:
     if fmt == "json":
         # d* is a Fraction, written as its str
         return json.dumps(payload, indent=2, sort_keys=True, default=str)
-    if fmt == "csv":
-        columns = _CSV_COLUMNS[payload["command"]]
-        buf = io.StringIO()
-        writer = csv.DictWriter(buf, columns, lineterminator="\n")
-        writer.writeheader()
-        for row in payload["rows"]:
-            for item in _csv_items(payload["command"], row):
-                record = {**row, **item}
-                writer.writerow({c: record.get(c) for c in columns})
-        return buf.getvalue().removesuffix("\n")
-    return _render_text(payload)
+    command = payload["command"]
+    columns = _COLUMNS[command]
+    if fmt == "text":
+        return _render_text(command, columns, payload["rows"])
+    buf = io.StringIO()
+    writer = csv.DictWriter(buf, columns, lineterminator="\n")
+    writer.writeheader()
+    for row in payload["rows"]:
+        for item in _items(command, row):
+            record = {**row, **item}
+            writer.writerow({c: record.get(c) for c in columns})
+    return buf.getvalue().removesuffix("\n")
 
 
-def _render_text(payload: dict) -> str:
-    lines = [payload.get("command", "")]
-    for row in payload.get("rows", []):
-        lines.append(f"- {row.get('instance', '?')}")
-        for key in ("error", "genus", "count"):
-            if key in row:
-                lines.append(f"    {key}: {row[key]}")
-        for r in row.get("reports", []):
-            lines.append(f"    p={r['p']} case={r['case']}")
-            for e in r["entries"]:
-                kind = "conditional" if e["conditional"] else "unconditional"
-                lines.append(f"      {e['name']}: {e['quantity']} <= {e['floor']} [{kind}]")
-        for c in row.get("checks", []):
-            mark = "FAIL" if c["status"] == "fail" else c["status"]
-            lines.append(f"    [{mark}] {c['check']}: {c['detail']}")
+def _render_text(command: str, columns: tuple, rows: list[dict]) -> str:
+    """The command, then per row `- <first column>`, each other column the
+    row sets as `key: value`, and one line of `key=value` cells per item
+    that sets any; a None value is left out, as CSV leaves its cell empty."""
+    lines = [command]
+    for row in rows:
+        lines.append(f"- {row[columns[0]]}")
+        lines += [f"    {c}: {row[c]}" for c in columns[1:] if row.get(c) is not None]
+        for item in _items(command, row):
+            cells = [f"{c}={item[c]}" for c in columns if item.get(c) is not None]
+            if cells:
+                lines.append("      " + " ".join(cells))
     return "\n".join(lines)
 
 

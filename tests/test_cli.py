@@ -211,18 +211,21 @@ def test_bound_csv_carries_conditional_and_errors(capsys):
 
 
 def test_bound_text_lists_every_entry(capsys):
-    """Text gives, under each instance, each report's p and case and one
-    line per entry, in the order and with the values of the JSON."""
+    """Text gives, under each instance, its hypothesis and one line per
+    entry with its report's p and case, in the order and with the values
+    of the JSON."""
     for instance in (["--F", "1,0,0,0,1", "--h", "17"], ["--F", "1,0,0,0,0,2", "--h", "7"]):
         for hypothesis in (["--hypothesis", "chabauty_lt_g"], []):
             _, out = run(capsys, "bound", *instance, *hypothesis)
             row = json.loads(out)["rows"][0]
-            expect = ["bound", f"- {row['instance']}"]
+            expect = ["bound", f"- {row['instance']}", f"    hypothesis: {row['hypothesis']}"]
             for rep in row["reports"]:
-                expect.append(f"    p={rep['p']} case={rep['case']}")
                 for e in rep["entries"]:
-                    kind = "conditional" if e["conditional"] else "unconditional"
-                    expect.append(f"      {e['name']}: {e['quantity']} <= {e['floor']} [{kind}]")
+                    expect.append(
+                        f"      p={rep['p']} case={rep['case']} name={e['name']} "
+                        f"quantity={e['quantity']} exact={e['exact']} floor={e['floor']} "
+                        f"conditional={e['conditional']}"
+                    )
             code, out = run(capsys, "bound", *instance, *hypothesis, "--format", "text")
             assert (code, out) == (0, "\n".join(expect) + "\n")
     code, out = run(capsys, "bound", "--F", "0,0,0,1", "--h", "5", "--format", "text")
@@ -246,7 +249,10 @@ def scalar_keys(value) -> set[str]:
 def test_csv_header_covers_every_json_key(capsys):
     """The CSV schema cannot drift from the payload: every scalar key of a
     JSON row or entry is a column of that command's CSV header, and CSV
-    writes one record per row, bound entry, solution or check."""
+    writes one record per row, bound entry, solution or check.  Text
+    carries every non-empty CSV cell: as `key: value` under its row or as
+    `key=value` on its record's item line, one line per bound entry,
+    solution or check, and never writes None."""
     rng = random.Random(20261020)
     calls = [
         ["analyze", "--F=2,0,0,0,2", "--h", "34"],  # content 2
@@ -270,7 +276,8 @@ def test_csv_header_covers_every_json_key(capsys):
     for argv in calls:
         code, out = run(capsys, *argv)
         csv_code, csv_out = run(capsys, *argv, "--format", "csv")
-        assert csv_code == code, argv
+        text_code, text_out = run(capsys, *argv, "--format", "text")
+        assert csv_code == text_code == code, argv
         if not out:
             continue
         rows = json.loads(out)["rows"]
@@ -282,6 +289,17 @@ def test_csv_header_covers_every_json_key(capsys):
             for r in rows
         ]
         assert len(records) == sum(max(k, 1) for k in items), argv
+        lines = text_out.splitlines()
+        assert lines[:2] == [argv[0], f"- {rows[0]['instance']}"], argv
+        item_lines = [line for line in lines if line.startswith("      ")]
+        assert len(item_lines) == sum(items), argv
+        assert "None" not in text_out, argv
+        for record, line in zip(records, item_lines or [""], strict=True):
+            for k, v in record.items():
+                assert (
+                    k == "instance" or not v or f"    {k}: {v}" in lines
+                    or f" {k}={v} " in line[5:] + " "
+                ), (argv, k, v)
         row = rows[0]
         seen |= {
             "content" if row.get("content_removed", 1) > 1 else "",
@@ -324,8 +342,8 @@ def test_verify_deterministic(capsys):
 
 
 def test_verify_failed_check_exits_2(tmp_path, capsys, monkeypatch):
-    """A failed check gives exit 2, is marked FAIL in text, and outranks
-    the exit 3 of an error row in the same corpus."""
+    """A failed check gives exit 2, is written status=fail in text, and
+    outranks the exit 3 of an error row in the same corpus."""
     monkeypatch.setattr(thuecc.charts, "verify_w_equals_um", lambda chart: False)
     args = ["verify", "--F=1,0,0,0,1", "--h", "17", "--box", "100"]
     code, out = run(capsys, *args)
@@ -334,7 +352,8 @@ def test_verify_failed_check_exits_2(tmp_path, capsys, monkeypatch):
     assert statuses["w_equals_um(1,2)"] == "fail"
     code, out = run(capsys, *args, "--format", "text")
     assert code == 2
-    assert "[FAIL] w_equals_um(" in out
+    lines = [line for line in out.splitlines() if " check=w_equals_um(" in line]
+    assert lines and all(" status=fail " in line for line in lines)
     corpus = tmp_path / "corpus.jsonl"
     corpus.write_text(
         json.dumps({"coeffs": [1, 0, -2, 0, 1], "h": 1}) + "\n"
@@ -504,12 +523,14 @@ def test_random_argv_exits_cleanly(capsys):
             checks = [c["status"] for r in rows for c in r["checks"]]
             assert set(checks) <= {"ok", "fail", "skipped"}, argv
             assert (code == 2) == ("fail" in checks), argv
-        # the same call in CSV: the same exit code, and well-formed records
-        assert main(argv + ["--format", "csv"]) == code, argv
-        csv_out = capsys.readouterr().out
-        assert bool(csv_out) == bool(out), argv
-        if csv_out:
-            csv_records(csv_out)
+        # the same call in CSV and text: the same exit code, output exactly
+        # when JSON had output, and well-formed CSV records
+        for fmt in ("csv", "text"):
+            assert main(argv + ["--format", fmt]) == code, (argv, fmt)
+            fmt_out = capsys.readouterr().out
+            assert bool(fmt_out) == bool(out), (argv, fmt)
+            if fmt == "csv" and fmt_out:
+                csv_records(fmt_out)
     assert exited_ok == {"analyze", "bound", "verify"}
     # fermat verbs: malformed triples, n and p outside their range
     triples = ["1,2,1", "2,1,1", "1,1,1", "0,0,0", "3,-2,5", "1,2", "1,2,3,4",
@@ -564,10 +585,11 @@ def test_analyze_dstar_past_the_integer_string_limit(capsys):
     # each coefficient has 2500 digits, within the input limit, but the
     # numerator of d* has 5003
     big, mid = "7" * 2500, "3" * 2500
-    assert main(["analyze", f"--F={big},{mid},{big},1", "--h", "1"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: rows.dstar has more than 4300 decimal digits")
+    for fmt in ("json", "csv", "text"):
+        assert main(["analyze", f"--F={big},{mid},{big},1", "--h", "1", "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "", fmt
+        assert captured.err.startswith("error: rows.dstar has more than 4300 decimal digits"), fmt
 
 
 def test_fermat_orbit(capsys):
