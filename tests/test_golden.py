@@ -55,6 +55,9 @@ CASES = [
     ["verify", "--F=3,-4,5,-9,-9,3", "--h", "-21", "--box", "20", "--format", "text"],
     ["verify", "--F=1,0,0,-7", "--h", "7", "--box", "50"],
     ["verify", "--F=7,1,0,1", "--h", "7", "--box", "100"],
+    # tracked mode with a rational root (0) and an inert factor
+    # (x^2 + x + 1) at p = 5
+    ["verify", "--F=1,1,1,0", "--h", "155", "--box", "50"],
     # the refinements over cyclotomic fields: degree p - 1 with p | h and
     # p | d*, then p | d* only; prime degree at p = 2n + 1 and p = 4n + 1
     ["bound", "--F=1,0,0,0,5", "--h", "10", "--hypothesis", "mw_lt_threshold:1"],
