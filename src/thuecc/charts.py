@@ -141,12 +141,8 @@ def chart_from_profile(profile: SolutionValuationProfile, w: Val) -> ChartData:
             f"maximum valuation attained {len(hits)} times; tracked mode required"
         )
     i0 = hits[0]
-    gammas = [
-        (ent.value, ent.multiplicity, ent.root_index if ent.root_index is not None else j)
-        for j, ent in enumerate(entries)
-        if j != i0
-    ]
-    return build_chart(profile.t, gammas, entries[i0].multiplicity, w, entries[i0].root_index)
+    gammas = [(ent.value, ent.multiplicity, j) for j, ent in enumerate(entries) if j != i0]
+    return build_chart(profile.t, gammas, entries[i0].multiplicity, w, profile.argmax_index)
 
 
 def chart_from_tracked(
@@ -163,16 +159,16 @@ def chart_from_tracked(
         raise ChartError("tracked profile required")
     if profile.t == INF:
         raise ChartError("profile has an exact root hit; not a solution")
-    by_index = {r.index: r for r in tracked.roots}
-    chosen = by_index[profile.argmax_index]
+    i0 = profile.argmax_index
+    chosen = tracked.roots[i0]
     if chosen.kind == "inert":
         raise ChartError("deepest root generates a residue extension; no chart")
     gammas = [
-        (tracked.root_difference(r, chosen), r.multiplicity, r.index)
-        for r in tracked.roots
-        if r.index != chosen.index
+        (tracked.root_difference(r, chosen), r.multiplicity, j)
+        for j, r in enumerate(tracked.roots)
+        if j != i0
     ]
-    return build_chart(profile.t, gammas, chosen.multiplicity, w, chosen.index)
+    return build_chart(profile.t, gammas, chosen.multiplicity, w, i0)
 
 
 def verify_w_equals_um(chart: ChartData) -> bool:

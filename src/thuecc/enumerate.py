@@ -258,7 +258,8 @@ def residue_class_census(
     with the same tracked roots, or none).
 
     With tracked roots a class is (root index, depth t, unit (a - alpha
-    b)/p^t mod p, b mod p); without them the census degrades to depth
+    b)/p^t mod p, b mod p), the index being the deepest root's position
+    in tracked.roots; without them the census degrades to depth
     granularity and a class is (t,)."""
     if instance.h % p != 0:
         raise ValueError("census requires p | h")
@@ -268,14 +269,12 @@ def residue_class_census(
         return tuple(sorted({(prof.t,) for prof in profiles}))
     keys = set()
     pn = p**tracked.precision
-    by_index = {r.index: r for r in tracked.roots}
     for prof in profiles:
-        root = by_index[prof.argmax_index]
-        r = tracked.residue(root)
+        r = tracked.residue(tracked.roots[prof.argmax_index])
         t = int(prof.t)
         mres = (prof.a - r * prof.b) % pn
         unit = (mres // p**t) % p
-        keys.add((root.index, t, unit, prof.b % p))
+        keys.add((prof.argmax_index, t, unit, prof.b % p))
     return tuple(sorted(keys))
 
 

@@ -18,12 +18,12 @@ Three layers live here:
   residue extension, whose distances to everything tracked are 0).
 * Per-solution valuation profiles {v(a - alpha_j b)} for coprime (a,b),
   in profile mode (multisets off a Newton polygon) or tracked mode
-  (valuations paired with root identities).
+  (one valuation per tracked root, in the roots' order).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -121,19 +121,18 @@ def difference_valuations(shape: FormShape, p: int) -> list[tuple[Fraction, int]
 class TrackedRoot:
     """One distinct root of F(x,1), tracked to precision p^N.
 
-    kind is "rational" (root is the exact Fraction `rational`),
-    "lifted" (an irrational Z_p root, approximated by the integer
-    `approx` mod p^N), or "inert" (a root generating a residue-field
-    extension, carried only through its monic factor mod p^N; every
-    tracked distance from an inert root to a rational or lifted root
-    is 0 because their residues differ).
+    kind is "rational" (value is the exact Fraction root), "lifted" (an
+    irrational Z_p root; value is its integer approximation mod p^N), or
+    "inert" (a root generating a residue-field extension, carried only
+    through its monic factor mod p^N; value is None, and every tracked
+    distance from an inert root to a rational or lifted root is 0
+    because their residues differ).  A root's index is its position in
+    TrackedRoots.roots.
     """
 
-    index: int
     multiplicity: int
     kind: str
-    rational: Fraction | None = None
-    approx: int | None = None
+    value: Fraction | int | None = None
     factor: IntPoly = ()
 
 
@@ -145,65 +144,52 @@ class TrackedRoots:
 
     def residue(self, root: TrackedRoot) -> int:
         """The p-adic integer root as an integer mod p^N."""
+        if root.kind == "inert":
+            raise ValueError("inert root has no residue in Z/p^N")
         pn = self.p**self.precision
-        if root.kind == "rational":
-            if root.rational.denominator % self.p == 0:
-                raise ValueError("root not integral at p")
-            return root.rational.numerator * pow(root.rational.denominator, -1, pn) % pn
-        if root.kind == "lifted":
-            return root.approx
-        raise ValueError("inert root has no residue in Z/p^N")
+        if root.value.denominator % self.p == 0:
+            raise ValueError("root not integral at p")
+        return root.value.numerator * pow(root.value.denominator, -1, pn) % pn
 
     def root_minus_point(self, root: TrackedRoot, a: int, b: int) -> Val:
-        """v(a - alpha*b) for the tracked root alpha and integers a, b."""
+        """v(a - alpha*b) for the tracked root alpha and integers a, b.
+
+        For an inert root, (a, b) must be coprime: then a - alpha*b is a
+        unit, since the residue of alpha lies outside F_p."""
+        if root.kind == "inert":
+            return Fraction(0)
         p, N = self.p, self.precision
-        if root.kind == "rational":
-            nu, de = root.rational.numerator, root.rational.denominator
-            m = a * de - nu * b
-            if m == 0:
-                return INF
-            return Fraction(vp(m, p) - vp(de, p))
+        nu, de = root.value.numerator, root.value.denominator
+        m = a * de - nu * b
         if root.kind == "lifted":
-            m = (a - root.approx * b) % p**N
+            m %= p**N
             if m == 0:
                 # saturated; genuine when a/b is an exact root of the factor's
                 # minimal polynomial, impossible for an irrational root
                 raise PrecisionError(
                     f"v(a - alpha b) >= {N} at tracked precision; raise N"
                 )
-            return Fraction(vp(m, p))
-        # inert: residue of alpha generates an extension of F_p, while a - 0*b
-        # reduces into F_p, so v = min(v(a), v(b))
-        if a == 0:
-            return Fraction(vp(b, p))
-        if b == 0:
-            return Fraction(vp(a, p))
-        return Fraction(min(vp(a, p), vp(b, p)))
+        elif m == 0:
+            return INF
+        return Fraction(vp(m, p) - vp(de, p))
 
     def root_difference(self, r1: TrackedRoot, r2: TrackedRoot) -> Val:
         """v(alpha_1 - alpha_2) for two distinct tracked roots."""
-        p, N = self.p, self.precision
-        if r1.index == r2.index:
+        if r1 is r2:
             return INF
         kinds = {r1.kind, r2.kind}
         if "inert" in kinds:
             if kinds == {"inert"}:
                 raise ValueError("difference of two inert roots is not tracked")
             return Fraction(0)
-        if kinds == {"rational"}:
-            d = r1.rational - r2.rational
-            return Fraction(vp(d.numerator, p) - vp(d.denominator, p))
-        # at least one lifted root: work mod p^N
-        def as_pair(r):
-            if r.kind == "rational":
-                return r.rational.numerator, r.rational.denominator
-            return r.approx, 1
-
-        n1, d1 = as_pair(r1)
-        n2, d2 = as_pair(r2)
-        m = (n1 * d2 - n2 * d1) % p**N
-        if m == 0:
-            raise PrecisionError("tracked roots collide mod p^N; raise N")
+        p = self.p
+        n1, d1 = r1.value.numerator, r1.value.denominator
+        n2, d2 = r2.value.numerator, r2.value.denominator
+        m = n1 * d2 - n2 * d1
+        if "lifted" in kinds:
+            m %= p**self.precision
+            if m == 0:
+                raise PrecisionError("tracked roots collide mod p^N; raise N")
         return Fraction(vp(m, p) - vp(d1 * d2, p))
 
 
@@ -235,7 +221,7 @@ def hensel_track_roots(shape: FormShape, p: int, precision: int) -> TrackedRoots
         for qc in polyutil.factor_over_q(w):
             if polyutil.degree(qc) == 1:
                 root = Fraction(-qc[0], qc[1])
-                entries.append(TrackedRoot(0, mult, "rational", rational=root))
+                entries.append(TrackedRoot(mult, "rational", root))
                 continue
             if qc[-1] % p == 0:
                 raise RamifiedCase(
@@ -250,19 +236,14 @@ def hensel_track_roots(shape: FormShape, p: int, precision: int) -> TrackedRoots
             for fac in polyutil.hensel_lift(qc, [f for f, _ in modular], p, precision):
                 if polyutil.degree(fac) == 1:
                     approx = (-fac[0]) % p**precision
-                    entries.append(TrackedRoot(0, mult, "lifted", approx=approx, factor=fac))
+                    entries.append(TrackedRoot(mult, "lifted", approx, fac))
                 else:
-                    entries.append(TrackedRoot(0, mult, "inert", factor=fac))
+                    entries.append(TrackedRoot(mult, "inert", factor=fac))
     # deterministic indexing: rational roots by value, then lifted by
     # approximation, then inert by factor
-    def sort_key(r: TrackedRoot):
-        rank = {"rational": 0, "lifted": 1, "inert": 2}[r.kind]
-        key = r.rational if r.kind == "rational" else (r.approx if r.kind == "lifted" else r.factor)
-        return (rank, key)
-
-    entries.sort(key=sort_key)
-    roots = tuple(replace(r, index=i) for i, r in enumerate(entries))
-    return TrackedRoots(p=p, precision=precision, roots=roots)
+    rank = {"rational": 0, "lifted": 1, "inert": 2}
+    entries.sort(key=lambda r: (rank[r.kind], r.factor if r.kind == "inert" else r.value))
+    return TrackedRoots(p=p, precision=precision, roots=tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +254,6 @@ def hensel_track_roots(shape: FormShape, p: int, precision: int) -> TrackedRoots
 class RootValuationEntry:
     value: Val
     multiplicity: int
-    root_index: int | None = None  # tracked mode only
 
 
 @dataclass(frozen=True)
@@ -281,7 +261,8 @@ class SolutionValuationProfile:
     """Valuations {v(a - alpha_j b)} over the distinct roots of F(x,1).
 
     t is the maximum; argmax_index identifies the achieving root in
-    tracked mode (smallest index on ties).  The degree_deficit roots at
+    tracked mode (smallest index on ties), where per_root[i] belongs to
+    tracked.roots[i].  The degree_deficit roots at
     infinity contribute v_p(b) each to v_p(F(a,b)) but are not part of
     per_root.
     """
@@ -306,7 +287,7 @@ def solution_valuations(
 
     Profile mode reads the multiset off the Newton polygon of
     b^deg(w) * w((a-T)/b) for each squarefree part w; tracked mode
-    additionally pairs each valuation with its root.
+    lists one valuation per tracked root, in the roots' order.
     """
     if gcd(a, b) != 1:
         raise ValueError(f"({a},{b}) is not coprime")
@@ -315,7 +296,7 @@ def solution_valuations(
     if tracked is not None:
         for root in tracked.roots:
             v = tracked.root_minus_point(root, a, b)
-            entries.append(RootValuationEntry(v, root.multiplicity, root.index))
+            entries.append(RootValuationEntry(v, root.multiplicity))
     else:
         for mult, w in shape.sqf_parts:
             d = polyutil.degree(w)
@@ -332,8 +313,7 @@ def solution_valuations(
     t: Val = max((e.value for e in entries), default=Fraction(0))
     argmax = None
     if tracked is not None:
-        hits = [e.root_index for e in entries if e.value == t]
-        argmax = min(hits) if hits else None
+        argmax = next((i for i, e in enumerate(entries) if e.value == t), None)
     return SolutionValuationProfile(
         a=a,
         b=b,

@@ -562,7 +562,7 @@ def test_census_worked_example():
     census = residue_class_census(profiles, inst, 5, tracked)
     assert all(len(c) == 4 for c in census)  # full granularity
     # the (25,1) class reduces to ((25-0)/25, 1) = (1, 1) on the root-0 disk
-    root0 = next(r.index for r in tracked.roots if r.rational == 0)
+    root0 = next(i for i, r in enumerate(tracked.roots) if r.value == 0)
     assert (root0, 2, 1, 1) in census
 
 

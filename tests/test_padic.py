@@ -158,9 +158,9 @@ def test_default_precision_reads_the_radical_discriminant(coeffs, k, h, p):
 def test_hensel_track_unramified_quadratic():
     sh = factor_shape(BinaryForm.from_coeffs([1, 0, -2]))
     tr = hensel_track_roots(sh, 7, 3)
-    approx = sorted(r.approx for r in tr.roots)
+    approx = sorted(r.value for r in tr.roots)
     assert approx == [108, 235]
-    assert all((r.approx**2 - 2) % 343 == 0 for r in tr.roots)
+    assert all((r.value**2 - 2) % 343 == 0 for r in tr.roots)
 
 
 def test_hensel_ramified_raises():
@@ -172,7 +172,7 @@ def test_hensel_ramified_raises():
 def test_hensel_rational_roots_exact():
     sh = factor_shape(BinaryForm.from_coeffs([1, -3, 2]))  # (x-1)(x-2)
     tr = hensel_track_roots(sh, 5, 2)
-    assert sorted(r.rational for r in tr.roots) == [1, 2]
+    assert sorted(r.value for r in tr.roots) == [1, 2]
 
 
 def test_hensel_lifted_roots_satisfy_minpoly():
@@ -196,8 +196,8 @@ def test_hensel_lifted_roots_satisfy_minpoly():
         minpolys = [polyutil.scale(q, q[-1]) for q in rational_factors(form.dehomogenized())]
         for r in tr.roots:
             if r.kind == "lifted":
-                assert evaluate(form.dehomogenized(), r.approx) % pn == 0
-                assert any(evaluate(q, r.approx) % pn == 0 for q in minpolys)
+                assert evaluate(form.dehomogenized(), r.value) % pn == 0
+                assert any(evaluate(q, r.value) % pn == 0 for q in minpolys)
             elif r.kind == "inert":
                 # the lifted factor divides a minimal polynomial mod p^prec
                 assert any(
