@@ -79,7 +79,7 @@ class RankHypothesis:
     kind "chabauty_lt_g": the Chabauty rank at the relevant place is
     less than g.  kind "mw_rank_value": the Mordell-Weil rank over Q
     equals value.  kind "mw_lt_threshold": the Mordell-Weil rank over Q
-    is less than value.
+    is less than value, that is at most value - 1.
     """
 
     kind: str
@@ -104,10 +104,11 @@ class RankHypothesis:
         return self.value <= g  # rank < value <= g
 
     def implies_mw_lt(self, threshold: Fraction) -> bool:
+        """Whether the assertion implies MW rank over Q < threshold."""
         if self.kind == "mw_rank_value":
             return Fraction(self.value) < threshold
         if self.kind == "mw_lt_threshold":
-            return Fraction(self.value) <= threshold
+            return Fraction(self.value - 1) < threshold
         return False
 
     def describe(self) -> str:

@@ -2,6 +2,7 @@ import csv
 import io
 import math
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction
 from math import gcd
 
@@ -15,7 +16,7 @@ from helpers import (
     partitions,
     product_form,
 )
-from thuecc import cli, polyutil
+from thuecc import cli, fermat, polyutil
 from thuecc.bounds import (
     BoundError,
     PrimeCase,
@@ -31,6 +32,7 @@ from thuecc.bounds import (
     refined_bounds_degree_pm1,
     refined_bounds_prime_degree,
 )
+from thuecc.fermat import FermatTwist, SolutionTriple, unique_triple_check
 from thuecc.forms import BinaryForm, ThueInstance, factor_shape, genus
 
 
@@ -287,6 +289,43 @@ def test_hypothesis_validation():
     assert h.implies_chabauty_lt(3)
     assert not h.implies_chabauty_lt(2)
     assert "assumed" in h.describe()
+
+
+@pytest.mark.parametrize("r", range(4))
+def test_rank_value_and_threshold_read_alike(r, monkeypatch):
+    """Ranks are integers, so "MW rank = r" and "MW rank < r + 1" make
+    the same claim about every threshold, half-integers included."""
+
+    def readings(hyp):
+        pm1 = [
+            [e.conditional for e in refined_bounds_degree_pm1(PrimeCase(5, h, d), hyp, s).entries]
+            for s in range(2, 10)  # thresholds (s - 2)/2 = 0, 1/2, ..., 7/2
+            for h, d in ((False, False), (True, True))
+        ]
+        prime = [
+            refined_bounds_prime_degree(n, PrimeCase(p, False, False), hyp).entries[0].conditional
+            for n, p in ((5, 11), (7, 29), (11, 23), (13, 53))
+        ]
+        checks = [
+            unique_triple_check(FermatTwist(1, 1, 2, p - 1), p, hyp).consistent
+            for p in (5, 7, 11, 13)
+        ]
+        return pm1, prime, checks
+
+    # two nonequivalent classes, so consistency turns on the hypothesis
+    triples = [SolutionTriple(1, 2, 1), SolutionTriple(2, 1, 1)]
+    monkeypatch.setattr(fermat, "search_triples", lambda twist, box: triples)
+    exact = readings(RankHypothesis("mw_rank_value", r))
+    assert exact == readings(RankHypothesis("mw_lt_threshold", r + 1))
+    assert exact != readings(None)
+    argv = ["bound", "--F=1,0,-1,0,0", "--h", "3", "--format", "csv", "--hypothesis"]
+    flags = []
+    for hyp in (f"mw_rank_value:{r}", f"mw_lt_threshold:{r + 1}"):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert cli.main([*argv, hyp]) == 0
+        flags.append([row[8] for row in csv.reader(io.StringIO(out.getvalue()))])
+    assert flags[0] == flags[1]
 
 
 def test_csv_rows(capsys):
