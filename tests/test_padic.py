@@ -2,10 +2,11 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -22,6 +23,7 @@ from thuecc.enumerate import primitive_solutions
 from thuecc.forms import BinaryForm, FormShape, ThueInstance, factor_shape
 from thuecc.padic import (
     INF,
+    PrecisionError,
     RamifiedCase,
     check_vb_zero,
     default_precision,
@@ -301,6 +303,37 @@ def test_solution_valuations_tracked_matches_profile():
                 key = lambda e: (str(e.value), e.multiplicity)
                 assert sorted(map(key, pm.per_root)) == sorted(map(key, tm.per_root))
                 assert pm.t == tm.t
+
+
+@given(
+    st.sampled_from([5, 7, 11, 13]),
+    st.lists(st.integers(-9, 9), min_size=2, max_size=6),
+    st.integers(-50, 50),
+    st.integers(-50, 50),
+)
+@example(5, [1, 1, 0], 5, 1)  # x^3 + x^2 + x: the root 0 and an inert quadratic
+@example(7, [0, -2], 3, 1)  # x^2 - 2: two lifted roots
+@settings(max_examples=300, deadline=None)
+def test_tracked_and_profile_modes_agree_on_every_root_kind(p, lower, a, b):
+    """On a monic form, tracked mode (rational, lifted and inert roots)
+    and profile mode (Newton polygons) give the same depth t and the same
+    nonzero valuations with multiplicities.  Zeros are not compared: an
+    inert factor of degree d is one tracked entry but d profile entries."""
+    n = len(lower)
+    assume(n % p != 0 and gcd(a, b) == 1)
+    inst = ThueInstance.build(BinaryForm.from_coeffs([1, *lower]), p)
+    try:
+        tracked = hensel_track_roots(inst.shape, p, default_precision(inst, p))
+        tm = solution_valuations(a, b, inst, p, tracked)
+    except (RamifiedCase, PrecisionError):
+        assume(False)
+    pm = solution_valuations(a, b, inst, p)
+
+    def nonzero(prof):
+        return Counter((e.value, e.multiplicity) for e in prof.per_root if e.value != 0)
+
+    assert tm.t == pm.t
+    assert nonzero(tm) == nonzero(pm)
 
 
 def test_solution_valuations_ultrametric_single_positive():
