@@ -2,7 +2,6 @@ import csv
 import io
 import math
 import random
-from contextlib import redirect_stdout
 from fractions import Fraction
 from math import gcd
 
@@ -292,7 +291,7 @@ def test_hypothesis_validation():
 
 
 @pytest.mark.parametrize("r", range(4))
-def test_rank_value_and_threshold_read_alike(r, monkeypatch):
+def test_rank_value_and_threshold_read_alike(r, monkeypatch, capsys):
     """Ranks are integers, so "MW rank = r" and "MW rank < r + 1" make
     the same claim about every threshold, half-integers included."""
 
@@ -321,10 +320,8 @@ def test_rank_value_and_threshold_read_alike(r, monkeypatch):
     argv = ["bound", "--F=1,0,-1,0,0", "--h", "3", "--format", "csv", "--hypothesis"]
     flags = []
     for hyp in (f"mw_rank_value:{r}", f"mw_lt_threshold:{r + 1}"):
-        out = io.StringIO()
-        with redirect_stdout(out):
-            assert cli.main([*argv, hyp]) == 0
-        flags.append([row[8] for row in csv.reader(io.StringIO(out.getvalue()))])
+        assert cli.main([*argv, hyp]) == 0
+        flags.append([row[8] for row in csv.reader(io.StringIO(capsys.readouterr().out))])
     assert flags[0] == flags[1]
 
 
