@@ -7,15 +7,17 @@ solutions through (x, y) -> (-x, -y); for odd n it scans the full box.
 Every scan goes through one exact residue sieve, which provably discards
 no solution: a true solution satisfies the congruence at every modulus,
 and every surviving candidate is verified with exact integer arithmetic.
-Two prime moduli q1 < q2 whose product exceeds the box diameter give
-the candidate y by CRT; a third prime q3 > q2 drops the candidates that
-are not roots mod q3 before the exact check.  None of the three divides
-h.  A column x whose row of roots is empty mod q1, q2 or q3 holds no
-solution.  The columns are taken in blocks of at most _BLOCK; in each
-block the 0/1 pattern of non-empty rows of each table, tiled from the
-block's first column, is read as an integer, and the AND of the three
-is the block's bitmask of live columns, so only those are visited in
-Python and memory stays O(q + _BLOCK).
+Two prime moduli q1 < q2 whose product exceeds the box diameter give the
+candidate y by CRT; a third prime q3 > q2 drops the candidates that are
+not roots mod q3 before the exact check.  None of the three divides h.
+No candidate repeats: root rows hold distinct residues, so distinct root
+pairs give distinct y mod q1 q2, and q1 q2 > 2B + 1 leaves at most one
+lift of each in [-B, B].  A column x whose row of roots is empty mod q1,
+q2 or q3 holds no solution.  The columns are taken in blocks of at most
+_BLOCK; in each block the 0/1 pattern of non-empty rows of each table,
+tiled from the block's first column, is read as an integer, and the AND
+of the three is the block's bitmask of live columns, so only those are
+visited in Python and memory stays O(q + _BLOCK).
 
 Every evaluation of a binary form over F_q (the sieve tables, the
 affine and projective point counts) goes through one kernel, _values,
@@ -61,9 +63,12 @@ def scan_stripe(
     lexicographic order (none when x_hi < x_lo).  A column x is live
     when F(x, y) = h has a root y mod q1, mod q2 and mod q3; the live
     columns come from one bitmask per block of at most _BLOCK columns.
-    In a live column the y that are roots both mod q1 and mod q2
-    (q1 q2 > 2 box + 1) are lifted by CRT, and only those that are also
-    roots mod q3 are tested exactly."""
+    In a live column each pair of roots mod q1 and mod q2 gives at most
+    one CRT candidate in [-box, box], none repeated (see above), and
+    after the sort only those that are roots mod q3 are tested exactly.
+    The q3 test is faster inside the CRT loop, but perfbench/run.py
+    keeps every outcome it serves, so for now that gain would read as a
+    higher peak_rss_mb (ROADMAP items 1 and 11)."""
     form, h = instance.form, instance.h
     out: list[tuple[int, int]] = []
     q1, q2, q3 = _filter_primes(h, box)
@@ -84,14 +89,14 @@ def scan_stripe(
             rs1 = t1[x % q1]
             rs2 = t2[x % q2]
             rs3 = t3[x % q3]
-            cands = set()
+            cands = []
             for r1 in rs1:
                 for r2 in rs2:
-                    y0 = (r1 * c1 + r2 * c2) % m
-                    if y0 <= box:
-                        cands.add(y0)
-                    if y0 - m >= -box:
-                        cands.add(y0 - m)
+                    y = (r1 * c1 + r2 * c2) % m
+                    if y > box:
+                        y -= m
+                    if y >= -box:
+                        cands.append(y)
             for y in sorted(cands):
                 if y % q3 in rs3 and gcd(x, y) == 1 and form(x, y) == h:
                     out.append((x, y))

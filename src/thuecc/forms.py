@@ -168,18 +168,10 @@ def dstar(shape: FormShape) -> Fraction:
 
 def power_gcd(shape: FormShape, n: int) -> int:
     """gcd(n, n_1, ..., n_s, degree_deficit): F is a constant times a
-    perfect power of this exponent."""
+    perfect power of this exponent.  The model h z^n - F(x,y), h != 0,
+    factors over the algebraic closure exactly when F is a constant
+    times a proper power, i.e. when this gcd exceeds 1."""
     return gcd(n, shape.degree_deficit, *shape.multiplicities)
-
-
-def is_irreducible_model(shape: FormShape, n: int) -> bool:
-    """Whether h z^n - F(x,y), h != 0, is irreducible over the algebraic
-    closure.
-
-    The model factors exactly when F is a proper perfect power up to a
-    constant, i.e. when power_gcd(shape, n) > 1.
-    """
-    return power_gcd(shape, n) == 1
 
 
 def monicize(form: BinaryForm, p: int) -> tuple[int, BinaryForm]:
@@ -239,7 +231,6 @@ class ThueInstance:
             h //= content
             removed = content
         shape = factor_shape(form)
-        irred = is_irreducible_model(shape, form.degree)
         try:
             g = genus(shape, form.degree)
         except FormError:
@@ -250,7 +241,7 @@ class ThueInstance:
             shape=shape,
             genus=g,
             dstar=dstar(shape),
-            irreducible=irred,
+            irreducible=power_gcd(shape, form.degree) == 1,
             content_removed=removed,
         )
 

@@ -40,11 +40,6 @@ def degree(f: IntPoly) -> int:
     return len(trim(f)) - 1
 
 
-def add(f, g) -> IntPoly:
-    n = max(len(f), len(g))
-    return trim(tuple((f[k] if k < len(f) else 0) + (g[k] if k < len(g) else 0) for k in range(n)))
-
-
 def mul(f, g) -> IntPoly:
     f, g = trim(f), trim(g)
     if not f or not g:
@@ -56,10 +51,6 @@ def mul(f, g) -> IntPoly:
         for j, b in enumerate(g):
             out[i + j] += a * b
     return tuple(out)
-
-
-def scale(f, c: int) -> IntPoly:
-    return trim(tuple(c * a for a in f))
 
 
 def content(f) -> int:
@@ -79,15 +70,13 @@ def primitive(f) -> IntPoly:
 
 
 def compose_linear(f, a0: int, a1: int) -> IntPoly:
-    """f(a0 + a1*x), expanded with exact integer arithmetic."""
-    res: IntPoly = ()
-    pw: IntPoly = (1,)
-    lin = trim((a0, a1))
-    for c in f:
-        if c:
-            res = add(res, scale(pw, c))
-        pw = mul(pw, lin)
-    return res
+    """f(a0 + a1*x) in exact integers, by Taylor's formula at a0: the
+    x^j coefficient is a1^j sum_k f_k C(k, j) a0^(k-j)."""
+    n = len(f) - 1
+    return trim(
+        a1**j * sum(f[k] * comb(k, j) * a0 ** (k - j) for k in range(j, n + 1))
+        for j in range(n + 1)
+    )
 
 
 def vp(x: int, p: int) -> int:

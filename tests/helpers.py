@@ -161,6 +161,21 @@ def derivative(f) -> tuple[int, ...]:
     return polyutil.trim(tuple(k * c for k, c in enumerate(f) if k >= 1))
 
 
+def taylor_shift(f, r: int) -> tuple[int, ...]:
+    """f(r + x), ascending: its x^j coefficient is the remainder of the
+    j-th repeated synthetic division of f by x - r."""
+    out = []
+    q = list(f)
+    while q:
+        acc, quotient = 0, []
+        for c in reversed(q):
+            acc = acc * r + c
+            quotient.append(acc)
+        out.append(quotient.pop())
+        q = quotient[::-1]
+    return tuple(out)
+
+
 def certified_zp_roots(f, p: int, depth: int = 6) -> tuple[int, int]:
     """(certified, ambiguous): distinct Z_p roots certified by Hensel
     refinement down to the given depth, plus the residue classes left
@@ -179,7 +194,8 @@ def certified_zp_roots(f, p: int, depth: int = 6) -> tuple[int, int]:
         if evaluate(fd, r) % p != 0:
             certified += 1
         elif depth > 0:
-            c, a = certified_zp_roots(polyutil.compose_linear(f, r, p), p, depth - 1)
+            g = tuple(c * p**j for j, c in enumerate(taylor_shift(f, r)))  # f(r + p x)
+            c, a = certified_zp_roots(g, p, depth - 1)
             certified += c
             ambiguous += a
         else:

@@ -195,7 +195,7 @@ def test_hensel_lifted_roots_satisfy_minpoly():
         except (RamifiedCase, ValueError):
             continue
         # F(x,1) is monic, so its rational factors have leading coefficient +-1
-        minpolys = [polyutil.scale(q, q[-1]) for q in rational_factors(form.dehomogenized())]
+        minpolys = [tuple(q[-1] * a for a in q) for q in rational_factors(form.dehomogenized())]
         for r in tr.roots:
             if r.kind == "lifted":
                 assert evaluate(form.dehomogenized(), r.value) % pn == 0
@@ -239,7 +239,7 @@ def test_hensel_lift_properties(lead, sign, tail, p, N):
         product = (1,)
         for f in got:
             product = polyutil.poly_mod(polyutil.mul(product, f), pn)
-        assert product == polyutil.poly_mod(polyutil.scale(q, pow(q[-1], -1, pn)), pn)
+        assert product == polyutil.poly_mod(tuple(pow(q[-1], -1, pn) * a for a in q), pn)
 
 
 def test_tracked_residue():

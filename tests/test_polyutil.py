@@ -1,10 +1,10 @@
-"""Properties of the polynomial kernels in polyutil (the integer
-discriminant, and the dense sympy kernels for the difference resolvent,
-the squarefree split and factorization mod p) and the search for a
-prime = 1 (mod n), each checked against an oracle that shares no code
-with the kernel: products of root differences, Sylvester determinants
-over Fraction, sympy's dup_discriminant, brute force over F_p and trial
-division."""
+"""Properties of the polynomial kernels in polyutil (the linear
+substitution, the integer discriminant, and the dense sympy kernels for
+the difference resolvent, the squarefree split and factorization mod p)
+and the search for a prime = 1 (mod n), each checked against an oracle
+that shares no code with the kernel: evaluation at a point, products of
+root differences, Sylvester determinants over Fraction, sympy's
+dup_discriminant, brute force over F_p and trial division."""
 
 from collections import Counter
 from itertools import combinations, permutations
@@ -13,7 +13,7 @@ from math import gcd, isqrt, prod
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import derivative, difference_product, sylvester_resultant, sympy_discriminant
+from helpers import derivative, difference_product, evaluate, sylvester_resultant, sympy_discriminant
 from thuecc import polyutil
 from thuecc.forms import FormShape
 from thuecc.padic import difference_valuations
@@ -51,6 +51,21 @@ def _root_multiplicity(f, r, p):
         f = tuple(reversed(quotient))
         k += 1
     return k
+
+
+@given(
+    st.lists(st.integers(-50, 50), min_size=1, max_size=11),
+    st.integers(-20, 20),
+    st.integers(-20, 20),
+    st.integers(-20, 20),
+)
+@settings(max_examples=200, deadline=None)
+def test_compose_linear_evaluates_at_the_substituted_point(f, a0, a1, x):
+    """compose_linear(f, a0, a1) is f(a0 + a1 x), trimmed, for f of
+    degree 0-10 (a zero top coefficient included)."""
+    g = polyutil.compose_linear(f, a0, a1)
+    assert g == polyutil.trim(g)
+    assert evaluate(g, x) == evaluate(f, a0 + a1 * x)
 
 
 @st.composite
