@@ -14,17 +14,14 @@ its own multiplicity), and the running totals
 factored out of the form after rescaling the coordinate by p^{s_k}.  For
 a genuine primitive solution the deepest total u_m equals w = v(h).
 
-Valuations with a common denominator e (ramified splitting data) are
-rescaled by e so that every chart entry is an integer, matching the
-normalization in which the uniformizer of the splitting field has
-valuation 1; w rescales to e*v_p(h).
+Charts are built from Hensel-tracked roots, whose valuations are
+integers: each root lies in an unramified extension of Q_p.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from thuecc.padic import INF, SolutionValuationProfile, TrackedRoots, Val
 
@@ -35,27 +32,21 @@ class ChartError(ValueError):
     pass
 
 
-class AmbiguousArgmax(ChartError):
-    """Profile mode cannot identify the deepest root when the maximum
-    valuation is attained more than once; use tracked mode."""
-
-
 @dataclass(frozen=True)
 class ChartMember:
     ref: int  # root index, or SELF for the chosen root
-    value: int | float  # rescaled integer valuation of gamma; INF for SELF
+    value: int | float  # integer valuation of gamma; INF for SELF
     multiplicity: int
 
 
 @dataclass(frozen=True)
 class ChartData:
-    root_index: int | None
+    root_index: int
     t: int
     s_seq: tuple[int, ...]
     levels: tuple[tuple[ChartMember, ...], ...]
     u_seq: tuple[int, ...]
     w: int
-    rescale: int
 
     def to_dict(self) -> dict:
         return {
@@ -64,7 +55,9 @@ class ChartData:
             "s_seq": list(self.s_seq),
             "u_seq": list(self.u_seq),
             "w": self.w,
-            "rescale": self.rescale,
+            # tracked valuations are integers, so the ledger format's
+            # scale factor for ramified valuations is always 1
+            "rescale": 1,
             "levels": [
                 [[m.ref, ("inf" if m.value == INF else m.value), m.multiplicity] for m in lv]
                 for lv in self.levels
@@ -72,25 +65,30 @@ class ChartData:
         }
 
 
+def _integral(v: Val) -> int:
+    if v == INF or Fraction(v).denominator != 1:
+        raise ChartError(f"valuation {v} is not an integer")
+    return int(v)
+
+
 def build_chart(
     t: Val,
     gammas: list[tuple[Val, int, int]],
     self_multiplicity: int,
     w: Val,
-    root_index: int | None,
+    root_index: int,
 ) -> ChartData:
-    """Run the depth recursion on the valuations rescaled to integers.
+    """Run the depth recursion on integer valuations.
 
     gammas lists (value, multiplicity, root_ref) for every root other
     than the chosen one; value is the valuation of the root difference
-    (INF never occurs for distinct roots).  t, w and the gammas are
-    multiplied by their common denominator, the chart's rescale.  The
-    chosen root contributes a member with gamma = 0 at the deepest level
-    with multiplicity self_multiplicity.
+    (INF never occurs for distinct roots).  t, w and the gammas must be
+    integers; any other value raises ChartError.  The chosen root
+    contributes a member with gamma = 0 at the deepest level with
+    multiplicity self_multiplicity.
     """
-    rescale = _common_rescale([v for v, _, _ in gammas] + [t, w])
-    t = int(t * rescale)
-    gammas = [(int(v * rescale), mult, ref) for v, mult, ref in gammas]
+    t = _integral(t)
+    gammas = [(_integral(v), mult, ref) for v, mult, ref in gammas]
     if t < 0 or any(v < 0 for v, _, _ in gammas):
         raise ChartError("valuations must be nonnegative")
     s_seq = sorted({0, t} | {v for v, _, _ in gammas if v < t})
@@ -111,38 +109,8 @@ def build_chart(
         s_seq=tuple(s_seq),
         levels=tuple(tuple(lv) for lv in levels),
         u_seq=tuple(u_seq),
-        w=int(Fraction(w) * rescale),
-        rescale=rescale,
+        w=_integral(w),
     )
-
-
-def _common_rescale(values) -> int:
-    den = 1
-    for v in values:
-        if v != INF:
-            den = lcm(den, Fraction(v).denominator)
-    return den
-
-
-def chart_from_profile(profile: SolutionValuationProfile, w: Val) -> ChartData:
-    """Chart of a solution from its valuation multiset alone.
-
-    Requires the maximum t to be attained by exactly one entry: then
-    every other root has v(a - alpha_j b) < t, which forces
-    v(gamma_j) = v(a - alpha_j b), so the ledger is determined without
-    root identities.
-    """
-    if profile.t == INF:
-        raise ChartError("profile has an exact rational root hit; not a solution")
-    entries = list(profile.per_root)
-    hits = [i for i, e in enumerate(entries) if e.value == profile.t]
-    if len(hits) != 1:
-        raise AmbiguousArgmax(
-            f"maximum valuation attained {len(hits)} times; tracked mode required"
-        )
-    i0 = hits[0]
-    gammas = [(ent.value, ent.multiplicity, j) for j, ent in enumerate(entries) if j != i0]
-    return build_chart(profile.t, gammas, entries[i0].multiplicity, w, profile.argmax_index)
 
 
 def chart_from_tracked(
@@ -155,7 +123,7 @@ def chart_from_tracked(
     root (rational or lifted), which is automatic for a primitive
     solution when p | h.
     """
-    if not profile.tracked or profile.argmax_index is None:
+    if profile.argmax_index is None:
         raise ChartError("tracked profile required")
     if profile.t == INF:
         raise ChartError("profile has an exact root hit; not a solution")
@@ -186,7 +154,7 @@ def check_common_root_depth(profiles: list[SolutionValuationProfile]) -> bool:
     """
     if not profiles:
         raise ChartError("no profiles to compare")
-    if any(not pr.tracked or pr.argmax_index is None for pr in profiles):
+    if any(pr.argmax_index is None for pr in profiles):
         raise ChartError("tracked profiles required")
     indices = {pr.argmax_index for pr in profiles}
     if len(indices) != 1:

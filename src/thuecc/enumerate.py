@@ -268,7 +268,8 @@ def residue_class_census(
     granularity and a class is (t,)."""
     if instance.h % p != 0:
         raise ValueError("census requires p | h")
-    if any(prof.p != p or prof.tracked != (tracked is not None) for prof in profiles):
+    if any(prof.p != p or (prof.argmax_index is None) != (tracked is None)
+           for prof in profiles):
         raise ValueError("census profiles must be taken at p, in the census's mode")
     if tracked is None:
         return tuple(sorted({(prof.t,) for prof in profiles}))

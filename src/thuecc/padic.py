@@ -260,11 +260,11 @@ class RootValuationEntry:
 class SolutionValuationProfile:
     """Valuations {v(a - alpha_j b)} over the distinct roots of F(x,1).
 
-    t is the maximum; argmax_index identifies the achieving root in
-    tracked mode (smallest index on ties), where per_root[i] belongs to
-    tracked.roots[i].  The degree_deficit roots at
-    infinity contribute v_p(b) each to v_p(F(a,b)) but are not part of
-    per_root.
+    t is the maximum.  In tracked mode per_root[i] belongs to
+    tracked.roots[i] and argmax_index is the achieving root (smallest
+    index on ties); in profile mode argmax_index is None.  The
+    degree_deficit roots at infinity contribute v_p(b) each to
+    v_p(F(a,b)) but are not part of per_root.
     """
 
     a: int
@@ -273,7 +273,6 @@ class SolutionValuationProfile:
     per_root: tuple[RootValuationEntry, ...]
     t: Val
     argmax_index: int | None = None
-    tracked: bool = False
 
 
 def solution_valuations(
@@ -321,7 +320,6 @@ def solution_valuations(
         per_root=tuple(entries),
         t=t,
         argmax_index=argmax,
-        tracked=tracked is not None,
     )
 
 

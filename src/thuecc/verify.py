@@ -5,9 +5,12 @@ bounds at p and, at the smallest prime p > n dividing h, against v(b) =
 0, w = u_m, equal depths per deepest root and the census additive term
 s*p or s*n*p.  The roots are tracked to padic.default_precision, which
 exceeds every valuation a primitive solution can reach there, so the
-precision cannot be set.  When the roots cannot be tracked, w = u_m runs
-in profile mode and the census counts depths only.  That prime is found
-by trial division and a primality test, never by factoring: when h
+precision cannot be set.  When the roots cannot be tracked, no chart is
+built: w = u_m is checked in profile mode as sum_j m_j v(a - alpha_j b),
+the deepest running total of any chart of (a, b), with the valuations
+read off Newton polygons, and the census counts depths only.  That
+prime is found by trial division and a primality test, never by
+factoring: when h
 keeps a composite cofactor with no prime factor up to TRIAL_LIMIT and
 no smaller prime qualifies, the charts are skipped.  A skipped check
 carries its reason and is never a pass.
@@ -124,21 +127,18 @@ def _chart_checks(inst: ThueInstance, sols, p: int):
     profs = [padic.solution_valuations(a, b, minst, p, tracked) for a, b in msols]
     by_argmax: dict[int, list] = {}
     charts = []
-    # without tracked roots the chart is read off the valuation multiset,
-    # which names the deepest root only when the largest depth is unique
     for prof in profs:
         name = f"w_equals_um({prof.a},{prof.b})"
-        try:
-            chart = (ch.chart_from_tracked(prof, tracked, w) if tracked
-                     else ch.chart_from_profile(prof, w))
-        except ch.AmbiguousArgmax as exc:
-            checks.append(Check(name, "skipped", str(exc)))
+        if tracked is None:
+            # u_m of any chart is sum_j m_j v(a - alpha_j b), which needs no deepest root
+            u_m = sum(e.value * e.multiplicity for e in prof.per_root)
+            checks.append(_check(name, u_m == w, f"w={w} u_m={u_m}, profile mode"))
             continue
-        detail = f"w={chart.w} u_m={chart.u_seq[-1]}" + ("" if tracked else ", profile mode")
+        chart = ch.chart_from_tracked(prof, tracked, w)
+        detail = f"w={chart.w} u_m={chart.u_seq[-1]}"
         checks.append(_check(name, ch.verify_w_equals_um(chart), detail))
-        if tracked:
-            charts.append(chart)
-            by_argmax.setdefault(prof.argmax_index, []).append(prof)
+        charts.append(chart)
+        by_argmax.setdefault(prof.argmax_index, []).append(prof)
     for idx, group in sorted(by_argmax.items()):
         same = ch.check_common_root_depth(group)
         t_values = ", ".join(str(pr.t) for pr in group)

@@ -1,22 +1,22 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import form_value, form_valuation, product_form, random_tracked_instance
 from thuecc import polyutil
 from thuecc.charts import (
     SELF,
-    AmbiguousArgmax,
     ChartError,
-    ChartMember,
     build_chart,
-    chart_from_profile,
     chart_from_tracked,
     check_common_root_depth,
     verify_w_equals_um,
 )
 from thuecc.enumerate import primitive_solutions
-from thuecc.forms import BinaryForm, ThueInstance
+from thuecc.forms import ThueInstance
 from thuecc.padic import (
     INF,
     default_precision,
@@ -47,14 +47,26 @@ def test_chart_worked_example():
     assert [m.ref for m in chart.levels[-1]] == [SELF]
 
 
-def test_chart_profile_matches_tracked():
-    inst = ThueInstance.build(product_form([0, 5, 30], [1, 1, 1]), -2500)
-    tracked_chart, _ = chart_for(inst, (25, 1), 5)
-    prof = solution_valuations(25, 1, inst, 5)
-    profile_chart = chart_from_profile(prof, polyutil.vp(inst.h, 5))
-    assert profile_chart.s_seq == tracked_chart.s_seq
-    assert profile_chart.u_seq == tracked_chart.u_seq
-    assert profile_chart.w == tracked_chart.w
+@given(st.integers(0, 10**6))
+@settings(max_examples=30, deadline=None)
+def test_chart_profile_matches_tracked(seed):
+    # u_m of the tracked chart, sum_j m_j v(a - alpha_j b) over the tracked
+    # profile and over the profile read off Newton polygons (the profile
+    # mode of verify), and v_p(h) all agree
+    rng = random.Random(seed)
+    p = rng.choice([5, 7])
+    inst, sol = random_tracked_instance(rng, p)
+    tracked = hensel_track_roots(inst.shape, p, default_precision(inst, p))
+    w = polyutil.vp(inst.h, p)
+    sols = primitive_solutions(inst, 45)
+    assert sol in sols
+    for a, b in sols:
+        tracked_prof = solution_valuations(a, b, inst, p, tracked)
+        newton_prof = solution_valuations(a, b, inst, p)
+        sums = [sum(e.value * e.multiplicity for e in pr.per_root)
+                for pr in (tracked_prof, newton_prof)]
+        chart = chart_from_tracked(tracked_prof, tracked, w)
+        assert [chart.u_seq[-1], *sums] == [w] * 3, (inst.instance_id(), (a, b))
 
 
 def test_chart_single_root_cluster():
@@ -72,38 +84,11 @@ def test_chart_single_root_cluster():
     assert verify_w_equals_um(chart)
 
 
-def test_chart_ramified_rescale():
-    # x(x^2 - 5y^2): roots 0, +-sqrt(5); solution (5,1)
-    form = BinaryForm.from_coeffs([1, 0, -5, 0])
-    h = form(5, 1)  # 100
-    inst = ThueInstance.build(form, h)
-    prof = solution_valuations(5, 1, inst, 5)
-    chart = chart_from_profile(prof, polyutil.vp(h, 5))
-    assert chart.rescale == 2
-    assert chart.s_seq == (0, 1, 2)
-    assert chart.u_seq == (0, 3, 4)
-    assert chart.w == 4
-    assert verify_w_equals_um(chart)
-
-
-def test_chart_ambiguous_argmax_rejected():
-    # x^2 - 5 y^2 at (5,1): both conjugate roots at valuation 1/2
-    form = BinaryForm.from_coeffs([1, 0, -5])
-    h = form(5, 1)
-    inst = ThueInstance.build(form, h)
-    prof = solution_valuations(5, 1, inst, 5)
-    with pytest.raises(AmbiguousArgmax):
-        chart_from_profile(prof, polyutil.vp(h, 5))
-
-
-def test_build_chart_rescales_half_integer():
-    from fractions import Fraction
-
-    chart = build_chart(1, [(Fraction(1, 2), 1, 0)], 1, Fraction(3, 2), 1)
-    assert chart.rescale == 2
-    assert (chart.t, chart.s_seq, chart.u_seq, chart.w) == (2, (0, 1, 2), (0, 2, 3), 3)
-    assert chart.levels[1] == (ChartMember(0, 1, 1),)
-    assert verify_w_equals_um(chart)
+def test_build_chart_rejects_a_non_integral_valuation():
+    with pytest.raises(ChartError, match="not an integer"):
+        build_chart(1, [(Fraction(1, 2), 1, 0)], 1, Fraction(3, 2), 1)
+    with pytest.raises(ChartError, match="not an integer"):
+        build_chart(1, [(0, 1, 0)], 1, Fraction(3, 2), 1)
 
 
 def test_w_equals_um_randomized():
@@ -180,8 +165,9 @@ def test_counterexample_family_higher_multiplicity():
 def test_chart_t_infinite_rejected():
     form = product_form([0, 1], [1, 1])
     inst = ThueInstance.build(form, 6)
-    prof = solution_valuations(1, 1, inst, 5)  # hits root 1 exactly? F(1,1)=0
-    # (1,1) gives F = 0, so valuation profile has an INF entry
-    assert prof.t == INF
-    with pytest.raises(ChartError):
-        chart_from_profile(prof, 1)
+    tracked = hensel_track_roots(inst.shape, 5, default_precision(inst, 5))
+    # (1,1) hits the rational root 1 exactly (F(1,1) = 0), so t is INF
+    prof = solution_valuations(1, 1, inst, 5, tracked)
+    assert prof.t == INF and prof.argmax_index == 1
+    with pytest.raises(ChartError, match="exact root hit"):
+        chart_from_tracked(prof, tracked, 1)

@@ -43,10 +43,10 @@ def test_ramified_tracking_is_skipped_not_passed(capsys):
     assert checks["tracked_mode"].status == "skipped"
     assert checks["census_additive_term"].status == "ok"
     assert checks["census_additive_term"].detail == "1 classes <= 63 (case d, depth granularity)"
-    # the profile of (0, -1) attains its largest depth at all three roots
-    assert checks["w_equals_um(0,-1)"].status == "skipped"
-    assert checks["w_equals_um(0,-1)"].detail == (
-        "maximum valuation attained 3 times; tracked mode required"
+    # the profile of (0, -1) attains its largest depth 1/3 at all three
+    # roots: a tie needs no deepest root, since w = u_m is their sum
+    assert checks["w_equals_um(0,-1)"] == Check(
+        "w_equals_um(0,-1)", "ok", "w=1 u_m=1, profile mode"
     )
     assert main(["verify", "--F=1,0,0,-7", "--h", "7"]) == 0
     capsys.readouterr()
@@ -59,6 +59,20 @@ def test_ramified_tracking_is_skipped_not_passed(capsys):
         "w_equals_um(-2,-1)", "ok", "w=1 u_m=1, profile mode"
     )
     assert res.ledgers == ()
+
+
+def test_profile_mode_sums_fractional_valuations():
+    # x(x^2 - 5y^2) and x^2(x^2 - 5y^2) at p = 5: +-sqrt(5) are ramified, so
+    # tracking is skipped; at (5, 1) the root 0 has v = 1 with multiplicity
+    # 1, then 2, and each of +-sqrt(5) has v = 1/2
+    for coeffs, h, w in (([1, 0, -5, 0], 100, 2), ([1, 0, -5, 0, 0], 500, 3)):
+        res = verify_instance(build(coeffs, h), 5, 50, None)
+        assert res.chart_prime == 5 and (5, 1) in res.solutions
+        assert statuses(res)["tracked_mode"] == "skipped"
+        rows = {(c.status, c.detail) for c in res.checks if c.name.startswith("w_equals_um(")}
+        assert rows == {("ok", f"w={w} u_m={w}, profile mode")}
+        assert sum(c.name.startswith("w_equals_um(") for c in res.checks) == len(res.solutions)
+        assert res.ledgers == ()
 
 
 def test_one_valuation_profile_per_solution(monkeypatch):
