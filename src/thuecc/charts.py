@@ -15,7 +15,10 @@ factored out of the form after rescaling the coordinate by p^{s_k}.  For
 a genuine primitive solution the deepest total u_m equals w = v(h).
 
 Charts are built from Hensel-tracked roots, whose valuations are
-integers: each root lies in an unramified extension of Q_p.
+integers: each root lies in an unramified extension of Q_p.  An inert
+member stands for all the conjugate roots of its factor, so it weighs
+its multiplicity times the factor's degree, and the weights of the
+levels sum to the number of finite roots counted with multiplicity.
 """
 
 from __future__ import annotations
@@ -132,7 +135,8 @@ def chart_from_tracked(
     if chosen.kind == "inert":
         raise ChartError("deepest root generates a residue extension; no chart")
     gammas = [
-        (tracked.root_difference(r, chosen), r.multiplicity, j)
+        (tracked.root_difference(r, chosen),
+         r.multiplicity * (len(r.factor) - 1 if r.kind == "inert" else 1), j)
         for j, r in enumerate(tracked.roots)
         if j != i0
     ]

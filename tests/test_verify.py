@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import random_tracked_instance
 from thuecc import padic
-from thuecc.bounds import RankHypothesis
+from thuecc.bounds import RankHypothesis, bertrand_prime
 from thuecc.cli import main
 from thuecc.enumerate import primitive_solutions
 from thuecc.forms import BinaryForm, ThueInstance
@@ -149,6 +149,20 @@ def test_monicized_charts_all_ok():
     assert res.chart_prime == 7
     assert len(res.ledgers) == 2
     assert {c.status for c in res.checks} == {"ok"}
+
+
+def test_ledger_levels_weigh_every_finite_root():
+    # an inert member weighs its multiplicity times its factor's degree:
+    # x^2 + x + 1 is inert at 5 in x(x^2 + xy + y^2) = 155 and at 11 in
+    # x(x^2 + xy + y^2)^2 = 11 * 163^2; 7x^3 + xy^2 + y^3 = 7 is charted
+    # on its monicized model, and x^4 + y^4 = 17 has four lifted roots
+    for coeffs, h in (([1, 1, 1, 0], 155), ([1, 2, 3, 2, 1, 0], 11 * 163**2),
+                      ([7, 1, 0, 1], 7), ([1, 0, 0, 0, 1], 17)):
+        inst = build(coeffs, h)
+        res = verify_instance(inst, bertrand_prime(inst.n), 50, None)
+        assert len(res.ledgers) == len(res.solutions) >= 2
+        for chart in res.ledgers:
+            assert sum(m.multiplicity for lv in chart.levels for m in lv) == inst.n
 
 
 def test_common_depth_detail_prints_plain_values():
