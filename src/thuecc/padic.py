@@ -17,8 +17,12 @@ Three layers live here:
   factors), or as opaque monic factors mod p^N (roots generating a
   residue extension, whose distances to everything tracked are 0).
 * Per-solution valuation profiles {v(a - alpha_j b)} for coprime (a,b),
-  in profile mode (multisets off a Newton polygon) or tracked mode
-  (one valuation per tracked root, in the roots' order).
+  in profile mode (multisets off a Newton polygon, possibly fractional,
+  naming no deepest root) or tracked mode (one integer valuation per
+  tracked root, in the roots' order, and the index of a deepest root,
+  from which charts builds the ledger).  In either mode the sum of the
+  valuations weighted by multiplicity is v_p(F(a,b)) when the x^n
+  coefficient is a p-unit.
 """
 
 from __future__ import annotations

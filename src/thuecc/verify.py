@@ -10,10 +10,9 @@ built: w = u_m is checked in profile mode as sum_j m_j v(a - alpha_j b),
 the deepest running total of any chart of (a, b), with the valuations
 read off Newton polygons, and the census counts depths only.  That
 prime is found by trial division and a primality test, never by
-factoring: when h
-keeps a composite cofactor with no prime factor up to TRIAL_LIMIT and
-no smaller prime qualifies, the charts are skipped.  A skipped check
-carries its reason and is never a pass.
+factoring: when h keeps a composite cofactor with no prime factor up
+to TRIAL_LIMIT and no smaller prime qualifies, the charts are skipped.
+A skipped check carries its reason and is never a pass.
 """
 
 from __future__ import annotations

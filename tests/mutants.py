@@ -47,6 +47,7 @@ LINES = ENUM + "test_line_counts_match_brute_double_loop"
 SMOOTH = ENUM + "test_projective_smooth_count_brute_property"
 ROOT_KINDS = "tests/test_padic.py::test_tracked_and_profile_modes_agree_on_every_root_kind"
 COMPOSE = "tests/test_polyutil.py::test_compose_linear_evaluates_at_the_substituted_point"
+CSV_KEYS = "tests/test_cli.py::test_csv_header_covers_every_json_key"
 
 MUTANTS = [
     # the CRT step of the stripe scan
@@ -75,6 +76,8 @@ MUTANTS = [
     ("h-for-h-inverse", "enumerate", "h_inv = pow(h, -1, q)", "h_inv = h % q", [LINES, SMOOTH]),
     ("odd-d-not-closed", "enumerate",
      "powers |= {q - v for v in powers}", "pass", [LINES, SMOOTH]),
+    ("d1-no-line-at-infinity", "enumerate",
+     "return q + 1 - zeros, zeros", "return q - values.count(0), zeros", [LINES]),
     # exact kernels
     ("prem-one-step-short", "polyutil",
      "for i in range(n - m + 1):", "for i in range(n - m):",
@@ -104,6 +107,15 @@ MUTANTS = [
      [ROOT_KINDS]),
     ("root-minus-point-sign", "padic",
      "m = a * de - nu * b", "m = a * de + nu * b", [ROOT_KINDS]),
+    # charts and the w = u_m check
+    ("inert-weight-dropped", "charts",
+     "r.multiplicity * (len(r.factor) - 1 if r.kind == \"inert\" else 1), j)",
+     "r.multiplicity, j)",
+     ["tests/test_verify.py::test_ledger_levels_weigh_every_finite_root"]),
+    ("profile-sum-unweighted", "verify",
+     "e.value * e.multiplicity for e in prof.per_root",
+     "e.value for e in prof.per_root",
+     ["tests/test_verify.py::test_profile_mode_sums_fractional_valuations"]),
     # closed-form orbit
     ("orbit-odd-n-negation", "fermat",
      "not (n % 2 == 0 and t.x == -t.y)", "not (t.x == -t.y)",
@@ -114,6 +126,29 @@ MUTANTS = [
      "\"hypothesis\",\n        \"error\",",
      ["tests/test_cli.py::test_bound_csv_carries_conditional_and_errors",
       "tests/test_cli.py::test_csv_header_covers_every_json_key"]),
+    ("csv-record-unfiltered", "cli",
+     "writer.writerow({c: record.get(c) for c in columns})", "writer.writerow(record)",
+     [CSV_KEYS, "tests/test_cli.py::test_verify_csv_format"]),
+    ("csv-checks-dropped", "cli",
+     "items += [{\"kind\": \"check\", **c} for c in row.get(\"checks\", ())]",
+     "items += []",
+     [CSV_KEYS, "tests/test_cli.py::test_verify_csv_writes_every_check"]),
+    ("text-no-status-cell", "cli",
+     "for c in columns if item.get(c) is not None]",
+     "for c in columns if item.get(c) is not None and c != \"status\"]",
+     [CSV_KEYS]),
+    ("text-no-dstar-line", "cli",
+     "for c in columns[1:] if row.get(c) is not None]",
+     "for c in columns[1:] if row.get(c) is not None and c != \"dstar\"]",
+     [CSV_KEYS]),
+    ("text-item-lines-skipped", "cli",
+     "                lines.append(\"      \" + \" \".join(cells))\n",
+     "                pass\n",
+     [CSV_KEYS]),
+    ("text-none-printed", "cli",
+     "[f\"    {c}: {row[c]}\" for c in columns[1:] if row.get(c) is not None]",
+     "[f\"    {c}: {row.get(c)}\" for c in columns[1:]]",
+     [CSV_KEYS]),
     ("minus-sign-not-joined", "cli",
      "_join_negative_lists(sys.argv[1:] if argv is None else argv)",
      "sys.argv[1:] if argv is None else argv",
