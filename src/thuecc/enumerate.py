@@ -25,13 +25,18 @@ which tabulates f(t) = F(1, t) on every t in F_q at once from its
 forward differences: f is evaluated exactly at t = 0..n only, and
 running sums of the differences, n additions per point, carry it
 through the rest of F_q.  The sieve tables group its list by value and
-read the roots in y for every x mod q off those buckets (root_table).
-The point counts count the values of g = h^-1 F (q not dividing h)
-line by line: the affine points off the origin lie on the lines
-(l, l t) and (0, l), and on a line of g-value w != 0 the equation
+read the roots in y for every x mod q off those buckets; row 0 and the
+bucket of every other row come from one list of n-th powers mod q
+(root_table).  The point counts count the values of g = h^-1 F (q not
+dividing h) line by line: the affine points off the origin lie on the
+lines (l, l t) and (0, l), and on a line of g-value w != 0 the equation
 l^n w = 1 has d = gcd(n, q - 1) solutions when w lies in the subgroup
 (F_q^*)^d and none otherwise, so one membership test per value replaces
-a pass over the rows (_line_counts).
+a pass over the rows (_line_counts).  The smooth projective count takes
+a model when F is squarefree as a binary form and p divides neither
+h Disc(F) nor, for n > 2, n; a root at infinity is allowed.  For d = 1
+it sweeps nothing: z -> z^n is a bijection of F_p, so each of the p + 1
+points of the projective line carries one point of the curve.
 
 Results are plain values: primitive_solutions returns the tuple of
 solution pairs and residue_class_census the sorted tuple of classes.
@@ -123,19 +128,25 @@ def root_table(coeffs, h: int, q: int) -> list[list[int]]:
     """Row x in F_q (q prime): the y, ascending, with sum_i coeffs[i]
     x^(n-i) y^i = h mod q, coeffs in BinaryForm order.
 
-    Row 0 solves coeffs[n] y^n = h: the t where the form coeffs[n] t^n
-    takes the value h.  For x != 0, F(x, x t) = x^n f(t) with f(t) =
-    F(1, t), so row x is x t over the bucket of f-values h x^(-n).
+    Both kinds of row read one table powers[u] = u^n.  Row 0 solves
+    coeffs[n] y^n = h: the y with coeffs[n] powers[y] = h.  For x != 0,
+    F(x, x t) = x^n f(t) with f(t) = F(1, t), so row x is x t over the
+    bucket of f-values h x^(-n); with u = x^(-1) that bucket is keyed by
+    h powers[u].
     """
     n = len(coeffs) - 1
     target = h % q
     buckets: dict[int, list[int]] = {}
     for t, v in enumerate(_values(coeffs, q)):
         buckets.setdefault(v, []).append(t)
-    top = _values([0] * n + [coeffs[-1]], q)
-    table = [[y for y, v in enumerate(top) if v == target]]
-    for x in range(1, q):
-        table.append(sorted(x * t % q for t in buckets.get(target * pow(x, -n, q) % q, ())))
+    powers = list(map(pow, range(q), repeat(n), repeat(q)))
+    top = coeffs[-1]
+    # row 0, in every slot until the loop below fills rows 1..q-1
+    table = [[y for y, v in enumerate(powers) if top * v % q == target]] * q
+    for u in range(1, q):
+        x = pow(u, -1, q)
+        ts = buckets.get(target * powers[u] % q)
+        table[x] = sorted([x * t % q for t in ts]) if ts else []
     return table
 
 
@@ -225,21 +236,41 @@ def count_affine_points_mod_p(instance: ThueInstance, p: int) -> int:
 
 def count_projective_smooth(instance: ThueInstance, p: int) -> int:
     """Projective F_p-points of h z^n = F(x,y) when that plane curve is
-    smooth: requires p prime, s = n (distinct roots, none at infinity)
-    and p not dividing h*d*(F).  Cross-checked against the projection
-    bound (n-1)(p+1) and the Weil interval |N - (p+1)| <= 2g sqrt(p).
+    smooth: requires p prime, F squarefree as a binary form (simple
+    roots, at most one of them at infinity), p not dividing h*Disc(F),
+    and p not dividing n when n > 2.
+
+    Disc(F) is the discriminant of F(x, 1), times the square of its
+    leading coefficient when y | F; p does not divide it exactly when F
+    mod p keeps n distinct roots on the projective line.  For n > 2,
+    p | n makes F_x and F_y share a zero, since their resultant is
+    +-n^(n-2) Disc(F), and the curve is singular over it.
+
+    For d = gcd(n, p - 1) = 1, z -> z^n is a bijection of F_p, so each
+    of the p + 1 points (x:y) of the projective line carries exactly one
+    point, and the count is p + 1 without a sweep; otherwise it is the
+    affine count plus the zeros of F on the line z = 0 (_line_counts).
+    Cross-checked against the projection bound (n-1)(p+1) and the Weil
+    interval |N - (p+1)| <= 2g sqrt(p).
     """
     if not polyutil.isprime(p):
         raise ValueError(f"smooth count requires a prime modulus, got {p}")
     shape = instance.shape
     n = instance.n
-    if shape.s != n or shape.degree_deficit != 0:
-        raise ValueError("smooth count requires n distinct finite roots")
-    if instance.h % p == 0 or polyutil.vp_frac(instance.dstar, p) != 0:
-        raise ValueError("smooth count requires p coprime to h*d*(F)")
-    # the points at infinity (z = 0) are the zeros of F on the projective line
-    affine, at_infinity = _line_counts(instance.form.coeffs, instance.h, p)
-    count = affine + at_infinity
+    deficit = shape.degree_deficit
+    if deficit > 1 or shape.s + deficit != n:
+        raise ValueError("smooth count requires F squarefree as a binary form")
+    disc = shape.discriminant * shape.lead**2 if deficit else shape.discriminant
+    if instance.h % p == 0 or disc % p == 0:
+        raise ValueError("smooth count requires p coprime to h*Disc(F)")
+    if n > 2 and n % p == 0:
+        raise ValueError("smooth count requires p coprime to n")
+    if gcd(n, p - 1) == 1:
+        count = p + 1
+    else:
+        # the points at infinity (z = 0) are the zeros of F on the projective line
+        affine, at_infinity = _line_counts(instance.form.coeffs, instance.h, p)
+        count = affine + at_infinity
     g = instance.genus
     if count > (n - 1) * (p + 1):
         raise AssertionError("projective count exceeds the projection bound")

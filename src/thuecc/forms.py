@@ -43,12 +43,12 @@ class BinaryForm:
     def __post_init__(self):
         if self.degree < 1:
             raise FormError("degree must be positive")
-        if all(c == 0 for c in self.coeffs):
+        if not any(self.coeffs):
             raise FormError("zero form")
 
     @classmethod
     def from_coeffs(cls, coeffs) -> "BinaryForm":
-        return cls(tuple(int(c) for c in coeffs))
+        return cls(tuple(map(int, coeffs)))
 
     @property
     def degree(self) -> int:

@@ -122,6 +122,20 @@ def form_value(coeffs, x: int, y: int) -> int:
     return sum(c * x ** (n - i) * y**i for i, c in enumerate(coeffs))
 
 
+def squarefree_mod_p(coeffs, p: int) -> bool:
+    """F mod p, coeffs in BinaryForm order, is squarefree as a binary form
+    of degree n = len(coeffs) - 1: y^2 does not divide it, and every
+    factor of F(x, 1) mod p in sympy's squarefree split over F_p has
+    multiplicity 1.  (sympy 1.14's Poly.is_sqf calls x^2 mod 2 and x^3
+    mod 3 squarefree, so it is not used.)"""
+    f = sympy.Poly(list(coeffs), sympy.Symbol("x"), modulus=p)
+    return (
+        not f.is_zero
+        and f.degree() >= len(coeffs) - 2
+        and all(k == 1 for _, k in f.sqf_list()[1])
+    )
+
+
 def swapped(form: BinaryForm) -> BinaryForm:
     """F(y, x)."""
     return BinaryForm(tuple(reversed(form.coeffs)))

@@ -10,7 +10,14 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import form_value, product_form, random_form, random_tracked_instance
+from helpers import (
+    form_value,
+    product_form,
+    random_form,
+    random_tracked_instance,
+    squarefree_mod_p,
+    swapped,
+)
 from thuecc import enumerate as enum
 from thuecc import polyutil
 from thuecc.bounds import classify_prime
@@ -458,6 +465,14 @@ def test_values_match_the_defining_sum(q, coeffs):
     assert _values(coeffs, q) == expect
 
 
+def smooth_at(coeffs, h: int, p: int) -> bool:
+    """h z^n = F(x, y) is smooth over F_p, decided without thuecc: p does
+    not divide h, F mod p is squarefree as a binary form of degree n, and
+    p does not divide n when n > 2."""
+    n = len(coeffs) - 1
+    return h % p != 0 and (n <= 2 or n % p != 0) and squarefree_mod_p(coeffs, p)
+
+
 @given(
     st.sampled_from(PRIMES_TO_31[3:]),
     st.integers(3, 6).flatmap(
@@ -473,9 +488,8 @@ def test_projective_smooth_count_brute_property(p, middle, c0, cn, p_divides_cn,
     # the count is the affine points plus the nonzero zeros of F in F_p^2
     # over p - 1; p | c_n puts (0:1) on the line at infinity
     coeffs = [c0, *middle, p * cn if p_divides_cn else cn]
-    assume(polyutil.content(coeffs) == 1 and h % p != 0)
+    assume(polyutil.content(coeffs) == 1 and smooth_at(coeffs, h, p))
     inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), h)
-    assume(inst.shape.s == inst.n and polyutil.vp_frac(inst.dstar, p) == 0)
     F = inst.form
     affine = sum(
         1 for x in range(p) for y in range(p) if (form_value(F.coeffs, x, y) - h) % p == 0
@@ -518,10 +532,9 @@ def test_line_counts_match_brute_double_loop(case):
     assert _line_counts(coeffs, h, q)[0] == values[h % q]
     if len(coeffs) < 4 or polyutil.content(coeffs) != 1 or h % q == 0:
         return
-    inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), h)
-    if inst.shape.s == inst.n and inst.shape.degree_deficit == 0:
-        if polyutil.vp_frac(inst.dstar, q) == 0:
-            assert count_projective_smooth(inst, q) == values[h % q] + (values[0] - 1) // (q - 1)
+    if smooth_at(coeffs, h, q):
+        inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), h)
+        assert count_projective_smooth(inst, q) == values[h % q] + (values[0] - 1) // (q - 1)
 
 
 def test_projective_counts_match_the_benchmark_reference():
@@ -531,6 +544,95 @@ def test_projective_counts_match_the_benchmark_reference():
     for item in items:
         inst = ThueInstance.build(BinaryForm.from_coeffs(item["coeffs"]), item["h"])
         assert count_projective_smooth(inst, item["p"]) == item["expect"]["count"], item
+
+
+def brute_projective_count(coeffs, h: int, p: int) -> int:
+    """Points of h z^n = F(x, y) in P^2(F_p) from a triple loop: the
+    nonzero solutions in F_p^3, over the p - 1 scalings of each."""
+    n = len(coeffs) - 1
+    hits = sum(
+        1 for x in range(p) for y in range(p) for z in range(p)
+        if (x or y or z) and (h * z**n - form_value(coeffs, x, y)) % p == 0
+    )
+    return hits // (p - 1)
+
+
+@pytest.mark.parametrize(
+    "coeffs, h, p",
+    [((0, 1, 0, 1), 1, 7), ((0, 1, 0, 1), 3, 11), ((0, 1, 2, 0, 3), 2, 11), ((7, 1, 0, 1), 1, 7)],
+)
+def test_projective_smooth_counts_roots_at_infinity(coeffs, h, p):
+    # models smooth at p with a simple root at infinity: y | F, or p | c_0
+    # (7x^3 + x^2 y + y^3 is y(x^2 + y^2) mod 7); d = gcd(n, p - 1) is 3,
+    # 1, 2 and 3
+    assert smooth_at(coeffs, h, p)
+    inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), h)
+    assert count_projective_smooth(inst, p) == brute_projective_count(coeffs, h, p)
+
+
+def test_projective_smooth_refuses_singular_models():
+    # F = y(7x^2 + xy + y^2) is y^2 (x + y) mod 7, though 7 does not
+    # divide disc(F(x, 1)) = -27: Disc(F) carries the factor 7^2 of the
+    # leading coefficient
+    inst = ThueInstance.build(BinaryForm.from_coeffs([0, 7, 1, 1]), 1)
+    assert inst.shape.discriminant % 7 and not squarefree_mod_p(inst.form.coeffs, 7)
+    with pytest.raises(ValueError, match="Disc"):
+        count_projective_smooth(inst, 7)
+    # Disc(x^3 + x y^2 + y^3) = -31, but at p = 3 | n the point (1:0:1)
+    # is singular: F_x = 3x^2 + y^2, F_y = 2xy + 3y^2 and 3 h z^2 all
+    # vanish there mod 3
+    coeffs = [1, 0, 1, 1]
+    inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), 1)
+    assert squarefree_mod_p(coeffs, 3)
+    with pytest.raises(ValueError, match="coprime to n"):
+        count_projective_smooth(inst, 3)
+
+
+@given(
+    st.sampled_from(PRIMES_TO_31[3:]),
+    st.lists(st.integers(-9, 9), min_size=3, max_size=7),
+    st.booleans(),
+    st.booleans(),
+    st.integers(-60, 60).filter(bool),
+)
+@settings(max_examples=150, deadline=None)
+def test_smooth_count_agrees_on_the_swapped_form(p, coeffs, p_divides_c0, p_divides_cn, h):
+    # (x:y:z) -> (y:x:z) maps the curve of F onto that of F(y, x), so the
+    # two are smooth at p together and have the same F_p-points
+    coeffs[0] *= p if p_divides_c0 else 1
+    coeffs[-1] *= p if p_divides_cn else 1
+    assume(polyutil.content(coeffs) == 1)
+    form = BinaryForm.from_coeffs(coeffs)
+    counts = []
+    for f in (form, swapped(form)):
+        try:
+            counts.append(count_projective_smooth(ThueInstance.build(f, h), p))
+        except ValueError:
+            counts.append(None)
+    assert counts[0] == counts[1]
+
+
+def test_root_tables_at_the_benchmark_moduli():
+    # the verify-box forms and 20 seeded forms of degree 1-8 at the sieve
+    # moduli of box 10^4; every F(x, y) comes from its defining sum, one
+    # row x at a time over all y
+    rng = random.Random(149)
+    forms = [(item["coeffs"], item["h"]) for item in json.loads(VERIFY_BOX.read_text())["requests"]]
+    for _ in range(20):
+        form = random_form(rng, rng.randint(1, 8), -60, 60)
+        forms.append((form.coeffs, rng.randint(-500, 500)))
+    for coeffs, h in forms:
+        n = len(coeffs) - 1
+        for q in (149, 151, 157):
+            ypow = [[pow(y, i, q) for y in range(q)] for i in range(n + 1)]
+            table = []
+            for x in range(q):
+                values = [-h] * q
+                for i, c in enumerate(coeffs):
+                    a = c * pow(x, n - i, q)
+                    values = [v + a * w for v, w in zip(values, ypow[i])]
+                table.append([y for y, v in enumerate(values) if v % q == 0])
+            assert root_table(coeffs, h, q) == table, (coeffs, h, q)
 
 
 def test_projective_smooth_pre_enforced():
