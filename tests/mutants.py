@@ -45,6 +45,10 @@ BLOCKS = ENUM + "test_stripe_blocks_match_brute_property"
 VALUES = ENUM + "test_values_match_the_defining_sum"
 LINES = ENUM + "test_line_counts_match_brute_double_loop"
 SMOOTH = ENUM + "test_projective_smooth_count_brute_property"
+TABLES = ENUM + "test_root_table_matches_brute_double_loop"
+MODULI = ENUM + "test_root_tables_at_the_benchmark_moduli"
+AT_INFINITY = ENUM + "test_projective_smooth_counts_roots_at_infinity"
+SINGULAR = ENUM + "test_projective_smooth_refuses_singular_models"
 ROOT_KINDS = "tests/test_padic.py::test_tracked_and_profile_modes_agree_on_every_root_kind"
 COMPOSE = "tests/test_polyutil.py::test_compose_linear_evaluates_at_the_substituted_point"
 CSV_KEYS = "tests/test_cli.py::test_csv_header_covers_every_json_key"
@@ -69,6 +73,10 @@ MUTANTS = [
      "hi = min(lo + _BLOCK - 1, x_hi)", "hi = min(lo + _BLOCK - 2, x_hi)", [BLOCKS]),
     ("one-block", "enumerate", "_BLOCK = 1 << 16", "_BLOCK = 1 << 30",
      [ENUM + "test_stripe_scan_memory_is_bounded_per_block"]),
+    # the sieve tables from one power table
+    ("row-x-not-inverted", "enumerate", "x = pow(u, -1, q)", "x = u", [TABLES, MODULI]),
+    ("row0-without-cn", "enumerate",
+     "if top * v % q == target]", "if v == target]", [TABLES, MODULI]),
     # F(1, t) over F_q and the point counts
     ("differences-shifted", "enumerate",
      "zip(row, range(n + 1))", "zip(row, range(1, n + 2))", [VALUES]),
@@ -78,6 +86,12 @@ MUTANTS = [
      "powers |= {q - v for v in powers}", "pass", [LINES, SMOOTH]),
     ("d1-no-line-at-infinity", "enumerate",
      "return q + 1 - zeros, zeros", "return q - values.count(0), zeros", [LINES]),
+    ("d1-shortcut-p", "enumerate", "count = p + 1", "count = p",
+     [AT_INFINITY, ENUM + "test_projective_counts_match_the_benchmark_reference"]),
+    ("disc-no-lead-squared", "enumerate",
+     "disc = shape.discriminant * shape.lead**2 if deficit else shape.discriminant",
+     "disc = shape.discriminant", [SINGULAR]),
+    ("n-guard-dropped", "enumerate", "if n > 2 and n % p == 0:", "if False:", [SINGULAR]),
     # exact kernels
     ("prem-one-step-short", "polyutil",
      "for i in range(n - m + 1):", "for i in range(n - m):",
