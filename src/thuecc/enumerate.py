@@ -241,8 +241,9 @@ def count_projective_smooth(instance: ThueInstance, p: int) -> int:
     and p not dividing n when n > 2.
 
     Disc(F) is the discriminant of F(x, 1), times the square of its
-    leading coefficient when y | F; p does not divide it exactly when F
-    mod p keeps n distinct roots on the projective line.  For n > 2,
+    leading coefficient when y | F, and 1 for n = 1, where F(x, 1) may
+    be constant; p does not divide it exactly when F mod p keeps n
+    distinct roots on the projective line.  For n > 2,
     p | n makes F_x and F_y share a zero, since their resultant is
     +-n^(n-2) Disc(F), and the curve is singular over it.
 
@@ -250,8 +251,9 @@ def count_projective_smooth(instance: ThueInstance, p: int) -> int:
     of the p + 1 points (x:y) of the projective line carries exactly one
     point, and the count is p + 1 without a sweep; otherwise it is the
     affine count plus the zeros of F on the line z = 0 (_line_counts).
-    Cross-checked against the projection bound (n-1)(p+1) and the Weil
-    interval |N - (p+1)| <= 2g sqrt(p).
+    Cross-checked against the projection bound max(n-1, 1)(p+1), which
+    for n = 1 is the line's own p + 1 points, and the Weil interval
+    |N - (p+1)| <= 2g sqrt(p).
     """
     if not polyutil.isprime(p):
         raise ValueError(f"smooth count requires a prime modulus, got {p}")
@@ -261,6 +263,8 @@ def count_projective_smooth(instance: ThueInstance, p: int) -> int:
     if deficit > 1 or shape.s + deficit != n:
         raise ValueError("smooth count requires F squarefree as a binary form")
     disc = shape.discriminant * shape.lead**2 if deficit else shape.discriminant
+    if n == 1:
+        disc = 1
     if instance.h % p == 0 or disc % p == 0:
         raise ValueError("smooth count requires p coprime to h*Disc(F)")
     if n > 2 and n % p == 0:
@@ -272,7 +276,7 @@ def count_projective_smooth(instance: ThueInstance, p: int) -> int:
         affine, at_infinity = _line_counts(instance.form.coeffs, instance.h, p)
         count = affine + at_infinity
     g = instance.genus
-    if count > (n - 1) * (p + 1):
+    if count > max(n - 1, 1) * (p + 1):
         raise AssertionError("projective count exceeds the projection bound")
     if g is not None and (count - p - 1) ** 2 > 4 * g * g * p:
         raise AssertionError("projective count violates the Weil interval")

@@ -570,6 +570,15 @@ def test_projective_smooth_counts_roots_at_infinity(coeffs, h, p):
     assert count_projective_smooth(inst, p) == brute_projective_count(coeffs, h, p)
 
 
+@pytest.mark.parametrize("coeffs", [(1, 2), (1, 0), (0, 1)])
+def test_projective_smooth_counts_linear_forms(coeffs):
+    # h z = F(x, y) is a line for n = 1: p + 1 points, at the projection
+    # bound max(n - 1, 1)(p + 1); F = y has a constant F(x, 1) but
+    # Disc(y) = 1
+    inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), 3)
+    assert count_projective_smooth(inst, 7) == brute_projective_count(coeffs, 3, 7) == 8
+
+
 def test_projective_smooth_refuses_singular_models():
     # F = y(7x^2 + xy + y^2) is y^2 (x + y) mod 7, though 7 does not
     # divide disc(F(x, 1)) = -27: Disc(F) carries the factor 7^2 of the
