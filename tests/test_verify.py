@@ -5,12 +5,15 @@ import random
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_tracked_instance
+from thuecc import bounds as bnd
+from thuecc import enumerate as en
 from thuecc import padic
 from thuecc.bounds import RankHypothesis, bertrand_prime
 from thuecc.cli import main
@@ -142,6 +145,66 @@ def test_conditional_bounds_are_skipped_without_hypothesis():
     assert [unset[n] for n in names] == ["skipped", "skipped"]
     declared = statuses(verify_instance(inst, 5, 100, CHABAUTY))
     assert [declared[n] for n in names] == ["ok", "ok"]
+
+
+def test_box_count_equal_to_a_floor_passes(monkeypatch):
+    # x^4 + y^4 = 17 has 8 solutions in the box: every entry is made
+    # unconditional with floor 8, then 7, so the check's edge is pinned
+    original = bnd.main_bounds
+    inst = build([1, 0, 0, 0, 1], 17)
+    for floor, status in ((8, "ok"), (7, "fail")):
+        def at_floor(*args, floor=floor):
+            report = original(*args)
+            entries = tuple(replace(e, floor=floor, conditional=False) for e in report.entries)
+            return replace(report, entries=entries)
+
+        monkeypatch.setattr(bnd, "main_bounds", at_floor)
+        res = verify_instance(inst, 5, 100, None)
+        assert len(res.solutions) == 8
+        counts = [c for c in res.checks if c.name.startswith("count_le_")]
+        assert len(counts) == 2
+        assert {(c.status, c.detail.split(" [")[0]) for c in counts} == {(status, f"8 <= {floor}")}
+
+
+def test_census_equal_to_its_limit_passes(monkeypatch):
+    # x^4 + y^4 = 17 charts at 17, which does not divide d* = 256: the
+    # census limit is s p = 4 * 17 = 68; a census of 68 classes is within
+    # it, one of 69 is not
+    inst = build([1, 0, 0, 0, 1], 17)
+    for classes, status in ((68, "ok"), (69, "fail")):
+        monkeypatch.setattr(en, "residue_class_census", lambda *args, k=classes: tuple(range(k)))
+        res = verify_instance(inst, 5, 100, None)
+        (census,) = [c for c in res.checks if c.name == "census_additive_term"]
+        assert census == Check(
+            "census_additive_term", status, f"{classes} classes <= 68 (case b)"
+        )
+
+
+def test_two_roots_carry_the_difference_sum():
+    # s = 2: x^2 - 3y^2 at p = 3, whose roots differ by 2 sqrt(3) of
+    # valuation 1/2, and x^3 (x - 5y) at p = 5, whose roots differ by 5;
+    # each difference counts in both orders
+    for coeffs, p, total in (([1, 0, -3], 3, 1), ([1, -5, 0, 0, 0], 5, 2)):
+        inst = build(coeffs, 7)
+        assert inst.shape.s == 2
+        res = verify_instance(inst, p, 20, None)
+        assert res.checks[0] == Check(
+            "difference_valuations_sum", "ok",
+            f"sum {total} vs v_p(disc)-(2s-2)v_p(lc) = {total}",
+        )
+
+
+def test_no_chart_prime_above_n_names_no_cofactor(capsys):
+    # h = 5 = n: the only prime dividing h is not above n
+    assert main(["verify", "--F=1,0,0,0,0,1", "--h", "5"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)["rows"]
+    (charts,) = [c for c in row["checks"] if c["check"] == "charts"]
+    assert charts == {
+        "check": "charts",
+        "status": "skipped",
+        "detail": "no prime p > n = 5 divides h = 5",
+    }
+    assert "charts" not in row
 
 
 def test_monicized_charts_all_ok():
