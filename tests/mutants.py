@@ -49,19 +49,26 @@ TABLES = ENUM + "test_root_table_matches_brute_double_loop"
 MODULI = ENUM + "test_root_tables_at_the_benchmark_moduli"
 AT_INFINITY = ENUM + "test_projective_smooth_counts_roots_at_infinity"
 SINGULAR = ENUM + "test_projective_smooth_refuses_singular_models"
+LINEAR = ENUM + "test_projective_smooth_counts_linear_forms"
+DESK = ENUM + "test_desk_instance"
+VERIFY = "tests/test_verify.py::"
 ROOT_KINDS = "tests/test_padic.py::test_tracked_and_profile_modes_agree_on_every_root_kind"
 COMPOSE = "tests/test_polyutil.py::test_compose_linear_evaluates_at_the_substituted_point"
 CSV_KEYS = "tests/test_cli.py::test_csv_header_covers_every_json_key"
 
 MUTANTS = [
-    # the CRT step of the stripe scan
+    # the CRT step of the stripe scan, filtered mod q3 as each value is formed
     ("crt-no-wrap", "enumerate",
      "                        y -= m\n",
      "                        pass\n",
-     [ENUM + "test_desk_instance", BOX_EDGE]),
+     [DESK, BOX_EDGE]),
     ("crt-upper-edge", "enumerate", "if y > box:", "if y >= box:", [BOX_EDGE]),
-    ("crt-lower-edge", "enumerate", "if y >= -box:", "if y > -box:", [BOX_EDGE]),
-    ("q3-residue-unreduced", "enumerate", "if y % q3 in rs3", "if y in rs3", [BOX_EDGE]),
+    ("crt-lower-edge", "enumerate", "if y >= -box and", "if y > -box and", [BOX_EDGE]),
+    ("q3-residue-unreduced", "enumerate", "and y % q3 in rs3:", "and y in rs3:", [BOX_EDGE]),
+    ("crt-basis-wrong", "enumerate",
+     "c2 = q1 * pow(q1, -1, q2)", "c2 = q1", [BLOCKS, BOX_EDGE, DESK]),
+    ("hit-dropped", "enumerate", "hits.append(y)", "hits[:] = [y]", [BLOCKS, BOX_EDGE, DESK]),
+    ("hits-unsorted", "enumerate", "hits.sort()", "pass", [BLOCKS, BOX_EDGE, DESK]),
     ("q3-row-of-q2", "enumerate", "rs3 = t3[x % q3]", "rs3 = t3[x % q2]", [BOX_EDGE]),
     # live columns, block by block
     ("tile-offset", "enumerate", "start = lo % q", "start = (lo + 1) % q", [BLOCKS]),
@@ -92,6 +99,8 @@ MUTANTS = [
      "disc = shape.discriminant * shape.lead**2 if deficit else shape.discriminant",
      "disc = shape.discriminant", [SINGULAR]),
     ("n-guard-dropped", "enumerate", "if n > 2 and n % p == 0:", "if False:", [SINGULAR]),
+    ("linear-projection-bound-zero", "enumerate",
+     "max(n - 1, 1) * (p + 1)", "(n - 1) * (p + 1)", [LINEAR]),
     # exact kernels
     ("prem-one-step-short", "polyutil",
      "for i in range(n - m + 1):", "for i in range(n - m):",
@@ -126,6 +135,24 @@ MUTANTS = [
      "r.multiplicity * (len(r.factor) - 1 if r.kind == \"inert\" else 1), j)",
      "r.multiplicity, j)",
      ["tests/test_verify.py::test_ledger_levels_weigh_every_finite_root"]),
+    ("count-floor-strict", "verify",
+     "len(sols) <= e.floor", "len(sols) < e.floor",
+     [VERIFY + "test_box_count_equal_to_a_floor_passes"]),
+    ("census-limit-strict", "verify",
+     "classes <= limit, detail)", "classes < limit, detail)",
+     [VERIFY + "test_census_equal_to_its_limit_passes"]),
+    ("difference-sum-above-two-roots", "verify",
+     "if shape.s >= 2:", "if shape.s > 2:",
+     [VERIFY + "test_two_roots_carry_the_difference_sum"]),
+    ("chart-prime-at-n", "verify",
+     "if rest > n else", "if rest >= n else",
+     [VERIFY + "test_no_chart_prime_above_n_names_no_cofactor"]),
+    ("no-prime-names-a-cofactor", "verify",
+     "else (None, 1)", "else (None, 2)",
+     [VERIFY + "test_no_chart_prime_above_n_names_no_cofactor"]),
+    ("no-prime-reason-swapped", "verify",
+     "if rest == 1:", "if rest == 2:",
+     [VERIFY + "test_no_chart_prime_above_n_names_no_cofactor"]),
     ("profile-sum-unweighted", "verify",
      "e.value * e.multiplicity for e in prof.per_root",
      "e.value for e in prof.per_root",
