@@ -7,18 +7,20 @@ solutions through (x, y) -> (-x, -y); for odd n it scans the full box.
 Every scan goes through one exact residue sieve, which provably discards
 no solution: a true solution satisfies the congruence at every modulus,
 and every surviving candidate is verified with exact integer arithmetic.
-Two prime moduli q1 < q2 whose product exceeds the box diameter give the
-candidate y by CRT; a third prime q3 > q2 filters each CRT value as it
-is formed, keeping only the roots mod q3, and only those hits are
-sorted before the exact check.  None of the three divides h.
+The sieve takes five consecutive primes q1 < ... < q5 above
+isqrt(2B + 1), none dividing h.  q1 and q2, whose product exceeds the
+box diameter, give the candidate y by CRT; q3 filters each CRT value as
+it is formed, keeping only the roots mod q3, and only those hits are
+sorted before the exact check.  q4 and q5 only filter columns.
 No candidate repeats: root rows hold distinct residues, so distinct root
 pairs give distinct y mod q1 q2, and q1 q2 > 2B + 1 leaves at most one
-lift of each in [-B, B].  A column x whose row of roots is empty mod q1,
-q2 or q3 holds no solution.  The columns are taken in blocks of at most
-_BLOCK; in each block the 0/1 pattern of non-empty rows of each table,
-tiled from the block's first column, is read as an integer, and the AND
-of the three is the block's bitmask of live columns, so only those are
-visited in Python and memory stays O(q + _BLOCK).
+lift of each in [-B, B].  A column x whose row of roots is empty modulo
+any of the five primes holds no solution.  The columns are taken in
+blocks of at most _BLOCK; in each block the 0/1 pattern of non-empty
+rows of each table, tiled from the block's first column, is read as an
+integer, and the AND of the five is the block's bitmask of live
+columns, so only those are visited in Python and memory stays
+O(q + _BLOCK).
 
 Every evaluation of a binary form over F_q (the sieve tables, the
 affine and projective point counts) goes through one kernel, _values,
@@ -67,19 +69,20 @@ def scan_stripe(
 ) -> list[tuple[int, int]]:
     """Primitive solutions with x in [x_lo, x_hi] and |y| <= box, in
     lexicographic order (none when x_hi < x_lo).  A column x is live
-    when F(x, y) = h has a root y mod q1, mod q2 and mod q3; the live
-    columns come from one bitmask per block of at most _BLOCK columns.
-    In a live column each pair of roots mod q1 and mod q2 gives at most
-    one CRT candidate in [-box, box], none repeated (see above); each
-    is kept only when it is a root mod q3, and only those hits are
-    sorted and tested exactly."""
+    when F(x, y) = h has a root y modulo each of the five sieve primes
+    q1, ..., q5; the live columns come from one bitmask per block of at
+    most _BLOCK columns.  In a live column each pair of roots mod q1 and
+    mod q2 gives at most one CRT candidate in [-box, box], none repeated
+    (see above); each is kept only when it is a root mod q3, and only
+    those hits are sorted and tested exactly.  q4 and q5 filter only
+    the columns."""
     form, h = instance.form, instance.h
     out: list[tuple[int, int]] = []
-    q1, q2, q3 = _filter_primes(h, box)
-    t1 = root_table(form.coeffs, h, q1)
-    t2 = root_table(form.coeffs, h, q2)
-    t3 = root_table(form.coeffs, h, q3)
-    nonempty = [bytes(map(bool, t)) for t in (t1, t2, t3)]
+    primes = _filter_primes(h, box)
+    q1, q2, q3 = primes[:3]
+    tables = [root_table(form.coeffs, h, q) for q in primes]
+    t1, t2, t3 = tables[:3]
+    nonempty = [bytes(map(bool, t)) for t in tables]
     m = q1 * q2
     c1 = q2 * pow(q2, -1, q1)  # CRT basis: 1 mod q1, 0 mod q2
     c2 = q1 * pow(q1, -1, q2)
@@ -116,12 +119,14 @@ def _tile(pattern: bytes, lo: int, width: int) -> bytes:
     return ((pattern[start:] + pattern[:start]) * (width // q + 1))[:width]
 
 
-def _filter_primes(h: int, box: int) -> tuple[int, int, int]:
-    """The sieve moduli q1 < q2 < q3: consecutive primes above
-    isqrt(2 box + 1), skipping those that divide h."""
-    q1 = polyutil.prime_not_dividing(h, isqrt(2 * box + 1))
-    q2 = polyutil.prime_not_dividing(h, q1)
-    return q1, q2, polyutil.prime_not_dividing(h, q2)
+def _filter_primes(h: int, box: int) -> tuple[int, ...]:
+    """The five sieve moduli q1 < ... < q5: consecutive primes above
+    isqrt(2 box + 1), skipping those that divide h.  q1 and q2 give y
+    by CRT, q3 filters each CRT value, and all five filter the columns."""
+    primes = [polyutil.prime_not_dividing(h, isqrt(2 * box + 1))]
+    while len(primes) < 5:
+        primes.append(polyutil.prime_not_dividing(h, primes[-1]))
+    return tuple(primes)
 
 
 def root_table(coeffs, h: int, q: int) -> list[list[int]]:

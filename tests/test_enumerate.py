@@ -22,6 +22,7 @@ from thuecc import enumerate as enum
 from thuecc import polyutil
 from thuecc.bounds import classify_prime
 from thuecc.enumerate import (
+    _filter_primes,
     _line_counts,
     _values,
     count_affine_points_mod_p,
@@ -192,7 +193,8 @@ def test_stripe_window_matches_brute_property(case, data):
 @settings(max_examples=150, deadline=None)
 def test_stripe_blocks_match_brute_property(case, data):
     # blocks of 1-13 columns, so that a window crosses several block
-    # boundaries and each block starts at many offsets mod q1, q2 and q3
+    # boundaries and each block starts at many offsets mod each of the
+    # five sieve primes
     inst, box, x_lo, x_hi, expect = window_case(case, data)
     block = data.draw(st.integers(1, 13), label="block")
     with pytest.MonkeyPatch.context() as mp:
@@ -227,9 +229,10 @@ def boundary_cases(draw):
     """(coeffs, h, box), n of both parities and box 1-40, with h = F(x0,
     y0) at a point (x0, y0) on the edge of the box: x0 or y0 is box or
     -box.  Either the coefficients are drawn freely, or h is drawn as a
-    multiple of the primes just above isqrt(2 box + 1), which the sieve
-    must skip as moduli, the other coordinate is +-1 and one coefficient
-    is shifted so that F(x0, y0) = h."""
+    multiple of some of the six primes just above isqrt(2 box + 1), up to
+    all of them, which the sieve must skip as moduli, so that each of q1,
+    ..., q5 can move past primes dividing h; the other coordinate is +-1
+    and one coefficient is shifted so that F(x0, y0) = h."""
     parity = draw(st.sampled_from((0, 1)))
     n = 2 * draw(st.integers(1, 4)) - parity
     box = draw(st.integers(1, 40))
@@ -242,9 +245,9 @@ def boundary_cases(draw):
         h = form_value(coeffs, x0, y0)
     else:
         primes = [int(sympy.nextprime(isqrt(2 * box + 1)))]
-        while len(primes) < 4:
+        while len(primes) < 6:
             primes.append(int(sympy.nextprime(primes[-1])))
-        divisors = draw(st.lists(st.sampled_from(primes), min_size=1, max_size=3))
+        divisors = draw(st.lists(st.sampled_from(primes), min_size=1, max_size=6, unique=True))
         h = draw(st.integers(-3, 3)) * prod(divisors)
         unit = draw(st.sampled_from((1, -1)))
         # the coefficient of the +-1 coordinate's n-th power moves F(x0, y0) by unit^n
@@ -259,6 +262,20 @@ def boundary_cases(draw):
 def test_sieve_keeps_solutions_on_the_box_edge(case):
     inst, box = mirror_instance(case)
     assert primitive_solutions(inst, box) == tuple(brute_solutions(inst, box))
+
+
+@pytest.mark.parametrize("box", [1, 2, 20, 10**4, 10**6])
+def test_filter_primes_are_the_first_five_not_dividing_h(box):
+    # the five moduli are the least primes above isqrt(2 box + 1) that do
+    # not divide h, also when h is the product of the first candidates
+    start = isqrt(2 * box + 1)
+    candidates = list(sympy.primerange(start + 1, 4 * start + 60))
+    for h in (1, -1, 7, candidates[0], -candidates[1] * candidates[3],
+              prod(candidates[:5]), -prod(candidates[:8])):
+        primes = _filter_primes(h, box)
+        assert len(primes) == 5 and list(primes) == sorted(set(primes))
+        assert all(sympy.isprime(q) and q > start and h % q for q in primes)
+        assert primes == tuple(q for q in candidates if h % q)[:5], (box, h)
 
 
 def test_third_modulus_cuts_exact_evaluations(monkeypatch):
