@@ -52,6 +52,14 @@ def test_classify_prime():
         classify_prime(inst, 6)
 
 
+def test_classify_prime_refuses_p_equal_to_n():
+    # a quintic at p = 5: the classification needs p > n, so p = n is refused
+    inst = ThueInstance.build(BinaryForm.from_coeffs([1, 0, 0, 0, 0, 1]), 3)
+    with pytest.raises(BoundError, match="requires a prime p > n"):
+        classify_prime(inst, 5)
+    assert classify_prime(inst, 7).case_tag == "a"
+
+
 def test_bertrand_prime():
     assert bertrand_prime(4) == 5
     assert bertrand_prime(6) == 7
@@ -70,6 +78,31 @@ def test_residue_bounds():
     assert math.floor(chabauty_residue_bound(3, 5, 16)) == 21
     with pytest.raises(BoundError):
         chabauty_residue_bound(2, 2, 0)
+
+
+def test_residue_bound_at_p_three():
+    # p = 3 is the least prime the residue term takes, the Bertrand prime
+    # of every degree-2 form
+    assert chabauty_residue_bound(0, 3, 0) == -4
+    assert chabauty_residue_bound(2, 3, 1) == 5
+    inst = ThueInstance.build(BinaryForm.from_coeffs([1, 0, 1]), 3)
+    rep = main_bounds(inst, 3, None)
+    assert bound_entry(rep, "case_b").floor == 3
+    assert bound_entry(rep, "global_cubic").floor == 9
+
+
+def test_only_genus_below_two_is_out_of_scope():
+    # x^2 + y^2 = 3 has genus 0, x^3 (x^2 + y^2) = 3 genus 2 and
+    # x^4 + y^4 = 17 genus 3: only the first report carries the note
+    for coeffs, h, p, g, out_of_scope in (
+        ([1, 0, 1], 3, 3, 0, True),
+        ([1, 0, 1, 0, 0, 0], 3, 7, 2, False),
+        ([1, 0, 0, 0, 1], 17, 5, 3, False),
+    ):
+        inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), h)
+        assert inst.genus == g
+        notes = main_bounds(inst, p, None).notes
+        assert any("out of scope" in note for note in notes) == out_of_scope
 
 
 def test_residue_bound_monotonicity():

@@ -7,19 +7,23 @@ first ones without an oracle.
 - (-F, -h) is the same equation: the same solutions, and the same
   analyze and bound JSON up to the sign of d* and the instance label.
 - For odd n, F(-x, -y) = -F(x, y), so (F, -h) has the negated solutions.
+- (F, h k^n) is the curve h z^n = F(x, y) again under z -> k z, an
+  isomorphism over F_p when p does not divide k: the same genus, and the
+  same smooth point count, or the same refusal, at every such p.
 """
 
 import io
 import json
 from contextlib import redirect_stdout
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import form_value, swapped
 from thuecc.cli import main
-from thuecc.enumerate import primitive_solutions
+from thuecc.enumerate import count_projective_smooth, primitive_solutions
 from thuecc.forms import BinaryForm, FormError, ThueInstance
 
 
@@ -97,3 +101,28 @@ def test_odd_degree_negates_the_solutions_with_h(case):
     coeffs, h, box = case
     expect = tuple(sorted((-x, -y) for x, y in solutions(coeffs, h, box)))
     assert solutions(coeffs, -h, box) == expect
+
+
+def smooth_count(inst, p):
+    """The smooth projective count at p, or the refusal's message."""
+    try:
+        return count_projective_smooth(inst, p)
+    except ValueError as refusal:
+        return str(refusal)
+
+
+@given(
+    equations(degrees=range(2, 7)),
+    st.integers(-6, 6).filter(lambda k: abs(k) > 1),
+    st.sampled_from([3, 5, 7, 11, 13, 17, 19, 23, 29, 31]),
+)
+@settings(max_examples=150, deadline=None)
+def test_scaling_h_by_an_nth_power_keeps_the_curve(case, k, p):
+    coeffs, h, _ = case
+    assume(k % p)
+    content = gcd(*coeffs)
+    coeffs = [c // content for c in coeffs]
+    inst = ThueInstance.build(BinaryForm.from_coeffs(coeffs), h)
+    scaled = ThueInstance.build(BinaryForm.from_coeffs(coeffs), h * k**inst.n)
+    assert scaled.genus == inst.genus
+    assert smooth_count(scaled, p) == smooth_count(inst, p)
