@@ -2,6 +2,7 @@
 purpose and names the tests that must catch it.
 
     python3 tests/mutants.py
+    python3 tests/mutants.py --only tile-offset,hits-unsorted
 
 An entry is (name, module, exact old snippet, replacement, test ids).
 For each entry, src/ is copied to a temporary directory, the snippet is
@@ -16,8 +17,10 @@ run against the copy, with a fixed hypothesis seed.  The entry reads
   must follow it in the same change.
 
 First every named test runs on an unmodified copy and must pass there,
-so a kill is the mutation's doing.  The run exits 1 on any survivor,
-stale entry or failure of the unmodified copy, and 0 otherwise.  A
+so a kill is the mutation's doing.  With --only, just the named entries
+run, and the unmodified copy runs just their tests; an unknown name
+exits 2 before anything runs.  The run exits 1 on any survivor, stale
+entry or failure of the unmodified copy, and 0 otherwise.  A
 change that moves a mutated line updates the entry's snippet; an entry
 is never dropped to make the run pass.
 
@@ -27,6 +30,7 @@ match test_*.py).
 
 from __future__ import annotations
 
+import argparse
 import os
 import shlex
 import shutil
@@ -42,6 +46,7 @@ TIMEOUT_S = 600
 ENUM = "tests/test_enumerate.py::"
 BOX_EDGE = ENUM + "test_sieve_keeps_solutions_on_the_box_edge"
 BLOCKS = ENUM + "test_stripe_blocks_match_brute_property"
+WINDOW = ENUM + "test_stripe_window_matches_brute_property"
 VALUES = ENUM + "test_values_match_the_defining_sum"
 LINES = ENUM + "test_line_counts_match_brute_double_loop"
 SMOOTH = ENUM + "test_projective_smooth_count_brute_property"
@@ -72,6 +77,16 @@ MUTANTS = [
     ("q3-row-of-q2", "enumerate", "rs3 = t3[x % q3]", "rs3 = t3[x % q2]", [BOX_EDGE]),
     # live columns, block by block
     ("tile-offset", "enumerate", "start = lo % q", "start = (lo + 1) % q", [BLOCKS]),
+    # the column-only moduli q4 and q5: a pattern tiled one column off,
+    # and the q4 pattern read off the rows of the q5 table
+    ("extra-pattern-offset", "enumerate",
+     "nonempty = [bytes(map(bool, t)) for t in tables]",
+     "nonempty = [bytes(map(bool, t[k > 2:] + t[:k > 2])) for k, t in enumerate(tables)]",
+     [BLOCKS, WINDOW, BOX_EDGE]),
+    ("extra-pattern-wrong-rows", "enumerate",
+     "nonempty = [bytes(map(bool, t)) for t in tables]",
+     "nonempty = [bytes(map(bool, tables[k + (k == 3)][:q])) for k, q in enumerate(primes)]",
+     [BLOCKS, WINDOW, BOX_EDGE]),
     ("last-block-dropped", "enumerate",
      "for lo in range(x_lo, x_hi + 1, _BLOCK):",
      "for lo in range(x_lo, x_hi + 2 - _BLOCK, _BLOCK):",
@@ -157,6 +172,14 @@ MUTANTS = [
      "e.value * e.multiplicity for e in prof.per_root",
      "e.value for e in prof.per_root",
      ["tests/test_verify.py::test_profile_mode_sums_fractional_valuations"]),
+    # the bounds' guards: p > n, genus 2 in scope, the residue term at p = 3
+    ("classify-p-equal-n", "bounds",
+     "if p <= instance.n or", "if p < instance.n or",
+     ["tests/test_bounds.py::test_classify_prime_refuses_p_equal_to_n"]),
+    ("genus-two-out-of-scope", "bounds", "if g < 2:", "if g <= 2:",
+     ["tests/test_bounds.py::test_only_genus_below_two_is_out_of_scope"]),
+    ("residue-bound-refuses-p3", "bounds", "if p <= 2:", "if p <= 3:",
+     ["tests/test_bounds.py::test_residue_bound_at_p_three"]),
     # closed-form orbit
     ("orbit-odd-n-negation", "fermat",
      "not (n % 2 == 0 and t.x == -t.y)", "not (t.x == -t.y)",
@@ -238,12 +261,28 @@ def _verdicts(ids: list[str], outcomes: dict[str, str]) -> dict[str, set[str]]:
     }
 
 
-def main() -> int:
+def _selected(argv: list[str] | None) -> list[tuple]:
+    """The entries named by --only, or all of them; an unknown name exits 2."""
+    parser = argparse.ArgumentParser(description="Mutation smoke run over src/thuecc.")
+    parser.add_argument("--only", metavar="NAME[,NAME...]",
+                        help="run only these entries, comma-separated")
+    args = parser.parse_args(argv)
+    if args.only is None:
+        return MUTANTS
+    names = set(args.only.split(","))
+    unknown = sorted(names - {m[0] for m in MUTANTS})
+    if unknown:
+        parser.error("unknown mutant(s): " + ", ".join(unknown))
+    return [m for m in MUTANTS if m[0] in names]
+
+
+def main(argv: list[str] | None = None) -> int:
+    mutants = _selected(argv)
     bad = 0
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         clean = _copy_src(tmp / "clean")
-        ids = sorted({i for m in MUTANTS for i in m[4]})
+        ids = sorted({i for m in mutants for i in m[4]})
         t0 = time.perf_counter()
         outcomes = _run_tests(clean, tmp / "clean", ids) or {}
         for i, seen in _verdicts(ids, outcomes).items():
@@ -251,7 +290,7 @@ def main() -> int:
                 print(f"unmodified copy {'fails' if seen else 'has no test'} {i}")
                 bad += 1
         print(f"unmodified copy: {len(ids)} test ids in {time.perf_counter() - t0:.1f} s")
-        for k, (name, module, old, new, tests) in enumerate(MUTANTS):
+        for k, (name, module, old, new, tests) in enumerate(mutants):
             work = tmp / f"m{k}"
             src = _copy_src(work)
             path = src / "thuecc" / f"{module}.py"
@@ -277,7 +316,7 @@ def main() -> int:
             bad += status != "killed"
             print(f"{status:8} {name:24} {module}.py  {note}  ({time.perf_counter() - t0:.1f} s)")
             shutil.rmtree(work)
-    print(f"{len(MUTANTS)} mutants, {bad} problem(s)")
+    print(f"{len(mutants)} mutants, {bad} problem(s)")
     return 1 if bad else 0
 
 
